@@ -1,28 +1,24 @@
-"""Bench: plan-level wall clock — DAG scheduler vs the serial cell loop.
+"""Bench: plan-level wall clock — DAG scheduler vs the serial run.
 
 Times whole experiment *plans* (the grids behind Figs. 4/6) end to end
-under three execution modes:
+under the two execution modes ``run_plan`` has:
 
-* ``serial`` — the in-process serial executor (no workers at all);
-* ``loop@process-wN`` — the serial cell loop over the process
-  executor: one cell at a time, each parallel internally (the pre-DAG
-  behavior, kept in-tree as the scheduler's reference twin);
-* ``dag@process-wN`` — the DAG scheduler: resources build concurrently
-  ahead of the cell frontier and independent cells overlap on the one
-  persistent worker pool.
+* ``serial`` — the in-process serial executor, cells in plan order;
+* ``dag@process-wN`` — the process executor on the DAG scheduler:
+  resources build concurrently ahead of the cell frontier and
+  independent cells overlap on the one persistent worker pool.
 
-Every mode must produce byte-identical results (always asserted — this
+Both modes must produce byte-identical results (always asserted — this
 is the determinism contract at the plan grain); the wall-clock rows are
 written to ``BENCH_plans.json`` at the repo root under a per-scale key,
 like ``BENCH_walks.json``, so ``REPRO_SCALE=paper`` runs extend the
-same trajectory file. Each record self-describes its executor mode,
-worker count, scheduler, and the runner's core count.
+same trajectory file. Each record self-describes its worker count, the
+scheduler's in-flight bound, and the runner's core count.
 
 Timing assertions arm only where parallel hardware exists: on >=2-core
 runners at medium+ scale the DAG schedule must not lose to the serial
-cell loop (it removes pool spin-up and idle frontier time, so at worst
-it ties within noise). Single-core runners record honest rows — the
-scheduler cannot manufacture cores — and skip the bar.
+run. Single-core runners record honest rows — the scheduler cannot
+manufacture cores — and skip the bar.
 """
 
 from __future__ import annotations
@@ -37,6 +33,7 @@ import numpy as np
 from repro.experiments import run_experiment
 from repro.runtime import runtime_options
 from repro.runtime.pool import reset_default_pools
+from repro.runtime.scheduler import DEFAULT_INFLIGHT
 
 #: Plans benched: the two experiments whose grids have real DAG width
 #: (fig4: four dataset resources x three designs; fig6: five pre-drawn
@@ -81,8 +78,9 @@ def _merge_record(scale_name: str, record: dict) -> dict:
     scales[scale_name] = record
     return {
         "description": (
-            "plan-level wall clock: DAG scheduler vs serial cell loop "
-            "(byte-identical outputs asserted for every row)"
+            "plan-level wall clock: DAG scheduler on the process "
+            "executor vs the serial run (byte-identical outputs asserted "
+            "for every row)"
         ),
         "scales": scales,
     }
@@ -96,7 +94,7 @@ def test_plan_scheduler_wall_clock(preset, timing_asserts):
             "scale": preset.name,
             "workers": WORKERS,
             "cpu_cores": cores,
-            "inflight": int(os.environ.get("REPRO_PLAN_INFLIGHT", "2") or 2),
+            "inflight": DEFAULT_INFLIGHT,
         },
         "plans": {},
     }
@@ -106,28 +104,15 @@ def test_plan_scheduler_wall_clock(preset, timing_asserts):
             lambda: run_experiment(experiment, rng=0, preset=preset)
         )
 
-        def loop_run():
-            with runtime_options(
-                executor="process", workers=WORKERS, plan_scheduler="serial"
-            ):
-                return run_experiment(experiment, rng=0, preset=preset)
-
         def dag_run():
-            with runtime_options(
-                executor="process", workers=WORKERS, plan_scheduler="dag"
-            ):
+            with runtime_options(executor="process", workers=WORKERS):
                 return run_experiment(experiment, rng=0, preset=preset)
 
-        # Fresh workers for the loop row, so it pays the spawn cost the
-        # pre-DAG per-cell behavior paid; the DAG row then reuses the
-        # live pool exactly as a real session would.
+        # Fresh workers, so the timed row pays the pool spawn a new
+        # ``repro experiment --workers N`` process pays.
         reset_default_pools()
-        loop_time, loop = _timed(loop_run)
         dag_time, dag = _timed(dag_run)
 
-        assert _results_equal(serial, loop), (
-            f"{experiment}: serial-loop output diverged from serial"
-        )
         assert _results_equal(serial, dag), (
             f"{experiment}: DAG output diverged from serial"
         )
@@ -139,16 +124,14 @@ def test_plan_scheduler_wall_clock(preset, timing_asserts):
 
         record["plans"][experiment] = {
             "serial_seconds": round(serial_time, 4),
-            f"loop@process-w{WORKERS}_seconds": round(loop_time, 4),
             f"dag@process-w{WORKERS}_seconds": round(dag_time, 4),
-            "dag_speedup_vs_loop": round(loop_time / dag_time, 2),
+            "dag_speedup_vs_serial": round(serial_time / dag_time, 2),
             "telemetry": _telemetry_breakdown(dag_run),
         }
         print(
             f"  {experiment:>6}: serial {serial_time:6.3f}s  "
-            f"loop x{WORKERS} {loop_time:6.3f}s  "
             f"dag x{WORKERS} {dag_time:6.3f}s  "
-            f"({loop_time / dag_time:.2f}x dag vs loop)"
+            f"({serial_time / dag_time:.2f}x dag vs serial)"
         )
 
     _JSON_PATH.write_text(
@@ -158,4 +141,4 @@ def test_plan_scheduler_wall_clock(preset, timing_asserts):
 
     if timing_asserts and cores >= 2 and preset.name != "small":
         for experiment, row in record["plans"].items():
-            assert row["dag_speedup_vs_loop"] >= 1.0, (experiment, row)
+            assert row["dag_speedup_vs_serial"] >= 1.0, (experiment, row)

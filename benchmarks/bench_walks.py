@@ -1,10 +1,11 @@
 """Bench: batched multi-walker engine + incremental prefix sweeps.
 
 Times the replicated NRMSE sweep (the engine behind Figs. 3, 4, 6) on
-the Fig. 3 base substrate, comparing the fast defaults
-(``engine="batched"``, ``ladder="incremental"``) against the sequential
-reference paths (``engine="sequential"``, ``ladder="subset"`` — the
-seed algorithm, kept in-tree for exactly this comparison), for each
+the Fig. 3 base substrate, comparing the production sweep (batched
+frontier kernels, incremental prefix ladder) against the sequential
+reference oracle of ``tests/oracles.py`` (per-stream ``Sampler.sample``
+and per-rung ``subset_draws`` — the seed algorithm, kept with the tests
+for exactly this comparison), for each
 walk design: RW, MHRW, RWJ, S-WRW with both next-hop engines (exact
 binary search and O(1) alias tables), and the union-CSR multigraph
 walk. A subset of designs is additionally swept through the
@@ -23,8 +24,8 @@ Assertions:
   (always enforced; the alias engine is bit-identical *to its own
   sequential twin*, its statistical contract vs the binary search lives
   in ``tests/sampling/test_equivalence.py``);
-* wall-clock — the batched+incremental sweep beats the in-tree
-  sequential reference by a healthy margin (skipped under
+* wall-clock — the batched+incremental sweep beats the sequential
+  reference oracle by a healthy margin (skipped under
   ``--skip-timing-asserts`` / ``REPRO_SKIP_TIMING`` for constrained
   runners).
 
@@ -62,6 +63,8 @@ from repro.sampling import (
 )
 from repro.sampling.batch import sample_streams
 from repro.stats import run_nrmse_sweep
+
+from tests.oracles import reference_samples, reference_sweep
 
 #: Acceptance workload: R >= 64 replicate walks, >= 5 ladder rungs.
 REPLICATIONS = 64
@@ -196,10 +199,9 @@ def test_batched_sweep_speedup(preset, timing_asserts, monkeypatch):
         )
         fast_sweeps[name] = (fast_time, fast)
         ref_time, reference = _best_of(
-            lambda: run_nrmse_sweep(
+            lambda: reference_sweep(
                 graph, partition, sampler, ladder,
                 replications=REPLICATIONS, rng=0,
-                engine="sequential", ladder="subset", executor="serial",
             ),
             repeats=1,
         )
@@ -267,7 +269,7 @@ def test_batched_sweep_speedup(preset, timing_asserts, monkeypatch):
             )
 
     # Traversal baselines: the set-semantics frontier kernels against
-    # their per-replicate sequential twins, at the kernel level (no
+    # per-stream ``sampler.sample`` calls, at the kernel level (no
     # estimator pipeline — the rows measure exactly the vectorization
     # win of repro.sampling.traversal). Bit-equality always asserted.
     traversal_n = graph.num_nodes // 2
@@ -284,19 +286,14 @@ def test_batched_sweep_speedup(preset, timing_asserts, monkeypatch):
                 sampler,
                 traversal_n,
                 spawn_rngs(ensure_rng(0), REPLICATIONS),
-                engine="batched",
             ),
             repeats=2 * REPEATS,
         )
         twin_time, twin = _best_of(
-            lambda: sample_streams(
-                sampler,
-                traversal_n,
-                spawn_rngs(ensure_rng(0), REPLICATIONS),
-                engine="sequential",
-            ),
+            lambda: reference_samples(sampler, traversal_n, REPLICATIONS, 0),
         )
-        assert np.array_equal(batched.nodes, twin.nodes), (
+        twin_nodes = np.stack([sample.nodes for sample in twin])
+        assert np.array_equal(batched.nodes, twin_nodes), (
             f"{name}: batched frontier kernel diverged from the "
             "sequential twin"
         )
@@ -377,7 +374,7 @@ def test_batched_sweep_speedup(preset, timing_asserts, monkeypatch):
     print(f"  -> {_JSON_PATH.name} written ({preset.name} scale)")
 
     if timing_asserts:
-        # The in-tree reference already benefits from the vectorized
+        # The reference oracle already benefits from the vectorized
         # observation pipeline, so the bar here is lower than the >=10x
         # measured against the true pre-PR-1 seed.
         for name in samplers:

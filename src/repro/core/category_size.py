@@ -25,7 +25,12 @@ import numpy as np
 from repro.exceptions import EstimationError
 from repro.sampling.observation import StarObservation, _ObservationBase
 
-__all__ = ["estimate_sizes_induced", "estimate_sizes_star"]
+__all__ = [
+    "estimate_sizes_induced",
+    "estimate_sizes_star",
+    "induced_sizes",
+    "star_sizes",
+]
 
 
 def estimate_sizes_induced(
@@ -39,11 +44,7 @@ def estimate_sizes_induced(
     counting estimator).
     """
     _check_population(population_size)
-    per_category = observation.reweighted_sizes()
-    total = per_category.sum()
-    if total <= 0:
-        raise EstimationError("sample has no usable draws")
-    return population_size * per_category / total
+    return induced_sizes(observation.reweighted_sizes(), population_size)
 
 
 def estimate_sizes_star(
@@ -79,11 +80,52 @@ def estimate_sizes_star(
             "use estimate_sizes_induced for induced measurements"
         )
     _check_population(population_size)
+    return star_sizes(
+        observation.reweighted_sizes(),
+        observation.degree_totals(weighted=True),
+        observation.neighbor_category_matrix(weighted=True),
+        population_size,
+        mean_degree_model,
+    )
 
-    # Weighted degree totals: sum_{v in S_A} deg(v) / w(v), per category
-    # (the numerators of Eq. 14), plus the reweighted draw counts.
-    degree_totals = observation.degree_totals(weighted=True)
-    reweighted = observation.reweighted_sizes()
+
+def induced_sizes(
+    reweighted: np.ndarray, population_size: float
+) -> np.ndarray:
+    """Eq. (4)/(11) from the reweighted per-category draw counts.
+
+    ``reweighted[A]`` is ``w^{-1}(S_A)``, the (Hansen-Hurwitz
+    reweighted) number of draws in category ``A``.
+    """
+    total = reweighted.sum()
+    if total <= 0:
+        raise EstimationError("sample has no usable draws")
+    return population_size * reweighted / total
+
+
+def star_sizes(
+    reweighted: np.ndarray,
+    degree_totals: np.ndarray,
+    neighbor_matrix: np.ndarray,
+    population_size: float,
+    mean_degree_model: str = "per-category",
+) -> np.ndarray:
+    """Eq. (5)/(12) from the reweighted sample aggregates.
+
+    Parameters
+    ----------
+    reweighted:
+        ``w^{-1}(S_A)`` per category.
+    degree_totals:
+        ``sum_{v in S_A} deg(v) / w(v)`` per category (the numerators
+        of Eq. 14).
+    neighbor_matrix:
+        ``(C, C)`` reweighted neighbor-category histogram: entry
+        ``[A, B]`` sums ``count_B(s) / w(s)`` over sampled ``s`` in
+        ``A``.
+    population_size / mean_degree_model:
+        As in :func:`estimate_sizes_star`.
+    """
     total_degree = degree_totals.sum()
     total_reweighted = reweighted.sum()
     if total_reweighted <= 0:
@@ -92,7 +134,7 @@ def estimate_sizes_star(
         # Every sampled node is isolated: the volume-based estimator is
         # undefined (vol(S) = 0). Signal with nan rather than raising —
         # a real crawl cannot even reach this state.
-        return np.full(observation.num_categories, np.nan)
+        return np.full(reweighted.shape[0], np.nan)
 
     # Eq. (14): k_V and per-category k_A.
     k_global = total_degree / total_reweighted
@@ -102,13 +144,12 @@ def estimate_sizes_star(
         )
 
     # Eq. (13): f_vol(A) = [sum_s count_A(s)/w(s)] / [sum_s deg(s)/w(s)].
-    neighbor_matrix = observation.neighbor_category_matrix(weighted=True)
     f_vol = neighbor_matrix.sum(axis=0) / total_degree
 
     if mean_degree_model == "per-category":
         k_a = k_per_category
     elif mean_degree_model == "global":
-        k_a = np.full(observation.num_categories, k_global)
+        k_a = np.full(reweighted.shape[0], k_global)
     else:
         raise EstimationError(
             f"unknown mean_degree_model {mean_degree_model!r}; "

@@ -31,6 +31,8 @@ __all__ = [
     "estimate_weights_induced",
     "estimate_weights_star",
     "estimate_intra_density",
+    "induced_weights",
+    "star_weights",
 ]
 
 
@@ -69,12 +71,7 @@ def estimate_weights_induced(observation: InducedObservation) -> np.ndarray:
             weights=np.concatenate((contributions, contributions)),
             minlength=c * c,
         ).reshape(c, c)
-    reweighted = observation.reweighted_sizes()
-    denominator = np.outer(reweighted, reweighted)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        weights = np.where(denominator > 0, numerator / denominator, np.nan)
-    np.fill_diagonal(weights, np.nan)
-    return weights
+    return induced_weights(numerator, observation.reweighted_sizes())
 
 
 def estimate_weights_star(
@@ -104,15 +101,47 @@ def estimate_weights_star(
             "measurements lack neighbor categories — use "
             "estimate_weights_induced"
         )
-    c = observation.num_categories
+    return star_weights(
+        observation.neighbor_category_matrix(weighted=True),
+        observation.reweighted_sizes(),
+        category_sizes,
+    )
+
+
+def induced_weights(
+    numerator: np.ndarray, reweighted: np.ndarray
+) -> np.ndarray:
+    """Eq. (8)/(15) from the induced numerator and reweighted counts.
+
+    ``numerator[A, B]`` sums ``m(a)/w(a) * m(b)/w(b)`` over the induced
+    edges between sampled ``a in A`` and ``b in B`` (both directions),
+    and ``reweighted[A]`` is ``w^{-1}(S_A)``.
+    """
+    denominator = np.outer(reweighted, reweighted)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        weights = np.where(denominator > 0, numerator / denominator, np.nan)
+    np.fill_diagonal(weights, np.nan)
+    return weights
+
+
+def star_weights(
+    neighbor_matrix: np.ndarray,
+    reweighted: np.ndarray,
+    category_sizes: np.ndarray,
+) -> np.ndarray:
+    """Eq. (9)/(16) from the reweighted neighbor-category histogram.
+
+    ``neighbor_matrix[A, B]`` sums ``|E_{a,B}| / w(a)`` over sampled
+    ``a in A``, ``reweighted[A]`` is ``w^{-1}(S_A)``, and
+    ``category_sizes`` are the plug-in ``|A|`` values.
+    """
+    c = reweighted.shape[0]
     category_sizes = np.asarray(category_sizes, dtype=float)
     if category_sizes.shape != (c,):
         raise EstimationError(
             f"category_sizes must have shape ({c},), got {category_sizes.shape}"
         )
-    cross = observation.neighbor_category_matrix(weighted=True)
-    numerator = cross + cross.T
-    reweighted = observation.reweighted_sizes()
+    numerator = neighbor_matrix + neighbor_matrix.T
     denominator = np.outer(reweighted, category_sizes) + np.outer(
         category_sizes, reweighted
     )

@@ -14,8 +14,8 @@ dataset: the synthetic world and its five simulated crawl collections
 resource built once and shared by every cell — and published to worker
 shards once via shared memory when the plan runs in parallel. Each
 cell's replicate walks resolve their size ladder through incremental
-prefix aggregates (``ladder="incremental"``, the
-:func:`~repro.stats.replication.run_nrmse_sweep_from_samples` default).
+prefix aggregates (:class:`~repro.stats.prefix.IncrementalPrefixLadder`,
+driven by :func:`~repro.stats.replication.run_nrmse_sweep_from_samples`).
 """
 
 from __future__ import annotations

@@ -5,14 +5,13 @@ harness. Every experiment compiles to a declarative
 :class:`~repro.experiments.plan.SweepPlan` — a dependency DAG of
 resource builds, scenario cells (substrate x partition x design x
 budget ladder x replications, fresh or pre-drawn), and a finalize step
-— and :func:`run_plan` executes it. Parallel plans default to the
-**DAG scheduler** (:mod:`repro.runtime.scheduler`): resources build
-concurrently ahead of the cell frontier, ready cells overlap on one
+— and :func:`run_plan` executes it. Parallel plans run on the **DAG
+scheduler** (:mod:`repro.runtime.scheduler`): resources build
+concurrently ahead of the cell frontier, and ready cells overlap on one
 **persistent worker pool** (:mod:`repro.runtime.pool` — workers spawn
 once per process and serve every cell's shard tasks, so cell ``k+1``'s
-sampling fills the gaps in cell ``k``'s ladder drain), and the
-one-cell-at-a-time loop is kept as the reference twin
-(``scheduler="serial"`` / ``REPRO_PLAN_SCHEDULER``). Each sweep cell
+sampling fills the gaps in cell ``k``'s ladder drain); serial plans run
+their cells in order, in-process. Each sweep cell
 runs on :class:`ProcessSweepExecutor` (fresh-draw sweeps via
 :meth:`~ProcessSweepExecutor.run`, pre-drawn crawl sweeps via
 :meth:`~ProcessSweepExecutor.run_from_samples`), publishing the plan's
@@ -79,7 +78,7 @@ choose — by construction rather than by tolerance:
    Checkpoints are double-keyed: the plan directory by the plan
    manifest (experiment id + cell grid), each cell's sweep directory
    by a manifest fingerprint (seeds or pre-drawn sample digests,
-   ladder, estimator knobs, graph/partition/sampler content), so a
+   estimator knobs, graph/partition/sampler content), so a
    stale checkpoint can never contaminate a non-matching run.
    Completed cells additionally record their sweep key in the plan's
    ``cells.json`` and persist their truth arrays, so a resumed plan
@@ -136,10 +135,10 @@ choose — by construction rather than by tolerance:
 
 ``tests/runtime/`` enforces all six properties —
 ``test_scheduler.py`` at the DAG grain (fig4 and fig6 bit-equal
-serial-loop vs DAG at 1/2/3 workers, mid-plan kill with cells in
+serial vs DAG at 1/2/3 workers, mid-plan kill with cells in
 flight, substrate-free replay), ``test_plan.py`` at the plan grain —
 and the golden sweep regression additionally pins the executor against
-the serial reference for every registered design.
+the serial sweep for every registered design.
 """
 
 from repro.runtime.checkpoint import PlanCheckpoint, SweepCheckpoint
@@ -147,7 +146,6 @@ from repro.runtime.config import (
     RuntimeOptions,
     active_options,
     resolve_executor,
-    resolve_plan_scheduler,
     runtime_options,
 )
 from repro.runtime.executor import ProcessSweepExecutor, replay_sweep
@@ -177,7 +175,6 @@ __all__ = [
     "replay_sweep",
     "reset_default_pools",
     "resolve_executor",
-    "resolve_plan_scheduler",
     "run_plan",
     "runtime_options",
     "telemetry_scope",

@@ -97,19 +97,14 @@ from repro.runtime.pool import (
 )
 from repro.sampling.base import NodeSample, Sampler
 from repro.sampling.batch import sample_streams
-from repro.sampling.observation import (
-    InducedObservation,
-    StarObservation,
-    observe_induced,
-    observe_star,
-)
+from repro.sampling.observation import InducedObservation, StarObservation
 from repro.stats.prefix import IncrementalPrefixLadder
 from repro.stats.replication import (
     KINDS,
     SweepResult,
+    _check_sweep_arguments,
     _reduce_stacks,
     _rung_rows,
-    _subset_rung,
 )
 
 __all__ = ["ProcessSweepExecutor", "replay_sweep", "serve_shard"]
@@ -221,66 +216,6 @@ def _observations_restore(
 # ----------------------------------------------------------------------
 # Worker side
 # ----------------------------------------------------------------------
-class _ReplicateLadder:
-    """One replicate's rung stepper inside a worker.
-
-    Wraps either ladder engine behind ``rung``/``skip``: ``rung``
-    computes a :class:`~repro.stats.prefix.RungEstimates` exactly as the
-    serial ``_ladder_rungs`` generator would; ``skip`` advances the
-    incremental multiplicity state past a checkpointed rung without
-    re-deriving estimates (an exact integer fold, so later rungs are
-    unaffected by the skip). ``observations`` seeds the ladder from a
-    checkpoint-restored ``observe_both`` pair instead of re-measuring
-    the sample.
-    """
-
-    def __init__(
-        self,
-        graph,
-        partition,
-        sample,
-        ladder,
-        n_pop,
-        mean_degree_model,
-        observations=None,
-    ):
-        self._mode = ladder
-        self._n_pop = n_pop
-        self._mean_degree_model = mean_degree_model
-        if ladder == "incremental":
-            self._state = IncrementalPrefixLadder(
-                graph, partition, sample, observations=observations
-            )
-        elif observations is not None:
-            # observe_both output is identical to the two separate
-            # observe_* calls, so restored pairs serve the subset
-            # reference ladder too.
-            self._induced, self._star = observations
-        else:
-            self._star = observe_star(graph, partition, sample)
-            self._induced = observe_induced(graph, partition, sample)
-
-    @property
-    def observations(self) -> tuple[InducedObservation, StarObservation]:
-        """The full-sample (induced, star) pair backing this ladder."""
-        if self._mode == "incremental":
-            return self._state.observations
-        return self._induced, self._star
-
-    def rung(self, size: int):
-        if self._mode == "incremental":
-            return self._state.estimates(
-                size, self._n_pop, mean_degree_model=self._mean_degree_model
-            )
-        return _subset_rung(
-            self._star, self._induced, size, self._n_pop, self._mean_degree_model
-        )
-
-    def skip(self, size: int) -> None:
-        if self._mode == "incremental":
-            self._state.fold(size)
-
-
 def serve_shard(payload: bytes, cfg: dict, recv, send) -> None:
     """Serve one shard task: obtain the owned replicates, then answer
     rung commands until told to stop.
@@ -342,9 +277,7 @@ def serve_shard(payload: bytes, cfg: dict, recv, send) -> None:
             collector, "sample", cat="worker",
             task=task_label, replicates=len(shard_ids), n=cfg["n"],
         ):
-            batch = sample_streams(
-                sampler, cfg["n"], streams, engine=cfg["engine"]
-            )
+            batch = sample_streams(sampler, cfg["n"], streams)
             samples = batch.replicates()
         if ("kill", "sample") in {
             tuple(d) for d in (cfg.get("faults") or ())
@@ -366,13 +299,10 @@ def serve_shard(payload: bytes, cfg: dict, recv, send) -> None:
         restored=restored is not None,
     ):
         ladders = [
-            _ReplicateLadder(
+            IncrementalPrefixLadder(
                 graph,
                 partition,
                 sample,
-                cfg["ladder"],
-                cfg["n_pop"],
-                cfg["mean_degree_model"],
                 observations=(
                     None
                     if restored is None
@@ -390,6 +320,8 @@ def serve_shard(payload: bytes, cfg: dict, recv, send) -> None:
         send("observed", None)
     truth_sizes = cfg["truth_sizes"]
     plugin = cfg["weight_size_plugin"]
+    n_pop = cfg["n_pop"]
+    mean_degree_model = cfg["mean_degree_model"]
     kill_rungs = {
         directive[1]
         for directive in map(tuple, cfg.get("faults") or ())
@@ -425,7 +357,7 @@ def serve_shard(payload: bytes, cfg: dict, recv, send) -> None:
                 task=task_label, rung=si, size=size,
             ):
                 for ladder in ladders:
-                    ladder.skip(size)
+                    ladder.fold(size)
             send("skipped", si)
         elif command == "rung":
             with telemetry.span_in(
@@ -433,7 +365,13 @@ def serve_shard(payload: bytes, cfg: dict, recv, send) -> None:
                 task=task_label, rung=si, size=size,
             ):
                 rows = [
-                    _rung_rows(ladder.rung(size), plugin, truth_sizes)
+                    _rung_rows(
+                        ladder.estimates(
+                            size, n_pop, mean_degree_model=mean_degree_model
+                        ),
+                        plugin,
+                        truth_sizes,
+                    )
                     for ladder in ladders
                 ]
             send(
@@ -956,40 +894,20 @@ class ProcessSweepExecutor:
         replications: int,
         rng,
         *,
-        engine: str = "batched",
-        ladder: str = "incremental",
         weight_size_plugin: str = "star",
         mean_degree_model: str = "per-category",
     ) -> SweepResult:
         """Run one sweep; same contract as the serial ``run_nrmse_sweep``."""
-        if replications < 1:
-            raise EstimationError(
-                f"replications must be positive, got {replications}"
-            )
-        if engine not in ("batched", "sequential"):
-            raise EstimationError(
-                f"unknown engine {engine!r}; use 'batched' or 'sequential'"
-            )
-        if ladder not in ("incremental", "subset"):
-            raise EstimationError(
-                f"unknown ladder {ladder!r}; use 'incremental' or 'subset'"
-            )
-        if weight_size_plugin not in ("star", "induced", "true"):
-            raise EstimationError(
-                f"unknown weight_size_plugin {weight_size_plugin!r}"
-            )
-        if mean_degree_model not in ("per-category", "global"):
-            raise EstimationError(
-                f"unknown mean_degree_model {mean_degree_model!r}; "
-                "use 'per-category' or 'global'"
-            )
+        _check_sweep_arguments(
+            replications, weight_size_plugin, mean_degree_model
+        )
         sizes = np.asarray(sizes, dtype=np.int64)
         n = int(sizes[-1])
         seeds = spawn_seeds(ensure_rng(rng), replications)
         truth = true_category_graph(graph, partition)
         checkpoint = self._open_checkpoint(
             graph, partition, sampler, sizes, replications, seeds,
-            engine, ladder, weight_size_plugin, mean_degree_model,
+            weight_size_plugin, mean_degree_model,
         )
         self.last_checkpoint = checkpoint
         if checkpoint is not None:
@@ -1030,7 +948,6 @@ class ProcessSweepExecutor:
                 "shard": [int(i) for i in shard],
                 "seeds": [seeds[i] for i in shard],
                 "n": n,
-                "engine": engine,
                 "want_samples": persist_samples,
                 "samples": (
                     None
@@ -1046,7 +963,6 @@ class ProcessSweepExecutor:
             replications,
             truth,
             "exact",
-            ladder,
             weight_size_plugin,
             mean_degree_model,
             checkpoint,
@@ -1068,7 +984,6 @@ class ProcessSweepExecutor:
         weight_size_plugin: str = "star",
         mean_degree_model: str = "per-category",
         truth_mode: str = "exact",
-        ladder: str = "incremental",
     ) -> SweepResult:
         """Run one pre-drawn sweep; same contract as the serial
         ``run_nrmse_sweep_from_samples``.
@@ -1082,28 +997,14 @@ class ProcessSweepExecutor:
         """
         samples = list(samples)
         replications = len(samples)
-        if replications < 1:
-            raise EstimationError("need at least one replicate sample")
-        if ladder not in ("incremental", "subset"):
-            raise EstimationError(
-                f"unknown ladder {ladder!r}; use 'incremental' or 'subset'"
-            )
-        if weight_size_plugin not in ("star", "induced", "true"):
-            raise EstimationError(
-                f"unknown weight_size_plugin {weight_size_plugin!r}"
-            )
-        if mean_degree_model not in ("per-category", "global"):
-            raise EstimationError(
-                f"unknown mean_degree_model {mean_degree_model!r}; "
-                "use 'per-category' or 'global'"
-            )
-        if truth_mode not in ("exact", "cross-sample"):
-            raise EstimationError(f"unknown truth_mode {truth_mode!r}")
+        _check_sweep_arguments(
+            replications, weight_size_plugin, mean_degree_model, truth_mode
+        )
         sizes = np.asarray(sizes, dtype=np.int64)
         truth = true_category_graph(graph, partition)
         checkpoint = self._open_predrawn_checkpoint(
             graph, partition, samples, sizes,
-            ladder, weight_size_plugin, mean_degree_model, truth_mode,
+            weight_size_plugin, mean_degree_model, truth_mode,
         )
         self.last_checkpoint = checkpoint
         if checkpoint is not None:
@@ -1137,7 +1038,6 @@ class ProcessSweepExecutor:
             replications,
             truth,
             truth_mode,
-            ladder,
             weight_size_plugin,
             mean_degree_model,
             checkpoint,
@@ -1157,7 +1057,6 @@ class ProcessSweepExecutor:
         replications: int,
         truth,
         truth_mode: str,
-        ladder: str,
         weight_size_plugin: str,
         mean_degree_model: str,
         checkpoint: "SweepCheckpoint | None",
@@ -1247,7 +1146,6 @@ class ProcessSweepExecutor:
                         )
                         cfg = {
                             "n_pop": graph.num_nodes,
-                            "ladder": ladder,
                             "weight_size_plugin": weight_size_plugin,
                             "mean_degree_model": mean_degree_model,
                             "truth_sizes": truth.sizes,
@@ -1349,7 +1247,7 @@ class ProcessSweepExecutor:
     # ------------------------------------------------------------------
     def _open_checkpoint(
         self, graph, partition, sampler, sizes, replications, seeds,
-        engine, ladder, weight_size_plugin, mean_degree_model,
+        weight_size_plugin, mean_degree_model,
     ) -> "SweepCheckpoint | None":
         if self.checkpoint_root is None:
             return None
@@ -1359,8 +1257,6 @@ class ProcessSweepExecutor:
             "replications": int(replications),
             "sizes": [int(s) for s in sizes],
             "seeds": seeds,
-            "engine": engine,
-            "ladder": ladder,
             "weight_size_plugin": weight_size_plugin,
             "mean_degree_model": mean_degree_model,
             "graph": _array_digest(graph.indptr, graph.indices),
@@ -1387,7 +1283,7 @@ class ProcessSweepExecutor:
 
     def _open_predrawn_checkpoint(
         self, graph, partition, samples, sizes,
-        ladder, weight_size_plugin, mean_degree_model, truth_mode,
+        weight_size_plugin, mean_degree_model, truth_mode,
     ) -> "SweepCheckpoint | None":
         if self.checkpoint_root is None:
             return None
@@ -1395,7 +1291,6 @@ class ProcessSweepExecutor:
             "mode": "predrawn",
             "replications": len(samples),
             "sizes": [int(s) for s in sizes],
-            "ladder": ladder,
             "weight_size_plugin": weight_size_plugin,
             "mean_degree_model": mean_degree_model,
             "truth_mode": truth_mode,

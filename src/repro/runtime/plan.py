@@ -9,21 +9,21 @@ driver and the ``repro experiment`` CLI. It routes each
 ambient runtime configuration selects — and runs
 :class:`~repro.experiments.plan.ComputeCell` steps in-process.
 
-Two schedules execute the same plan, byte-for-byte equivalently:
+The schedule follows from the resolved executor; it is not a knob:
 
-* the **DAG scheduler** (:mod:`repro.runtime.scheduler`, the default
-  for parallel plans): resources build concurrently ahead of the cell
-  frontier, ready cells overlap on one persistent worker pool, and a
-  resumed plan replays recorded fully-cached cells without rebuilding
-  their substrates;
-* the **serial cell loop** (in this module): one cell at a time, in
-  plan order — the reference twin the DAG schedule is golden-pinned
-  against, and the only schedule for serial executors (no worker pool
-  to overlap cells on). Select with ``scheduler="serial"``,
-  ``runtime_options(plan_scheduler=...)``, ``REPRO_PLAN_SCHEDULER``,
-  or ``repro experiment <name> --scheduler serial``.
+* **process executor** — the DAG scheduler
+  (:mod:`repro.runtime.scheduler`): resources build concurrently ahead
+  of the cell frontier, ready cells overlap on one persistent worker
+  pool, and a resumed plan replays recorded fully-cached cells without
+  rebuilding their substrates;
+* **serial executor** — a plain in-order cell loop (in this module).
+  Resources build lazily, when the first cell that reads them runs, so
+  a serial run does no work ahead of its first sweep; there is no
+  worker pool to overlap cells on, no shared memory to publish into,
+  and no checkpoint (serial sweeps ignore checkpoint roots).
 
-Three runtime services wrap both schedules:
+The process schedule adds the first two runtime services below; the
+third holds for both schedules:
 
 * **One shared-memory pool per plan run**
   (:func:`repro.runtime.sharedmem.shared_pool`): executors publish
@@ -43,24 +43,22 @@ Three runtime services wrap both schedules:
   and each sweep inherits the executor's bit-identical-for-any-worker-
   count contract, so a plan's finalized
   :class:`~repro.experiments.base.ExperimentResult` outputs are
-  identical for serial, 1-worker, and N-worker runs alike — under
-  either schedule.
+  identical for serial, 1-worker, and N-worker runs alike.
 """
 
 from __future__ import annotations
 
 import os
-from contextlib import nullcontext
 
+from repro.log import get_logger
 from repro.runtime import sharedmem, telemetry
 from repro.runtime.checkpoint import PlanCheckpoint
-from repro.runtime.config import (
-    active_options,
-    resolve_executor,
-    resolve_plan_scheduler,
-)
+from repro.runtime.config import active_options, resolve_executor
+from repro.runtime.executor import ProcessSweepExecutor
 
-__all__ = ["run_plan"]
+__all__ = ["run_cell", "run_plan"]
+
+_LOG = get_logger(__name__)
 
 
 def run_plan(
@@ -70,7 +68,6 @@ def run_plan(
     workers: int | None = None,
     checkpoint: "str | os.PathLike | None" = None,
     resume: bool | None = None,
-    scheduler: "str | None" = None,
 ):
     """Run every cell of ``plan`` and return its finalized results.
 
@@ -89,13 +86,6 @@ def run_plan(
         ``checkpoint`` names the user-facing checkpoint *root*; the
         plan creates a plan-keyed directory under it with one
         sweep-checkpoint subdirectory per cell.
-    scheduler:
-        ``"dag"`` (overlap independent cells on the persistent worker
-        pool) or ``"serial"`` (the one-cell-at-a-time reference loop).
-        ``None`` defers to the ambient configuration
-        (``REPRO_PLAN_SCHEDULER``), then ``"dag"``. Output is
-        bit-identical either way; serial executors always use the
-        loop.
 
     Returns
     -------
@@ -103,7 +93,7 @@ def run_plan(
         Whatever the plan's ``finalize`` assembles from the cell
         outputs.
     """
-    from repro.experiments.plan import PlanResources, SweepCell
+    from repro.experiments.plan import PlanResources
 
     if executor is not None and not isinstance(executor, str):
         from repro.exceptions import ExperimentError
@@ -123,16 +113,14 @@ def run_plan(
     resume_flag = resume if resume is not None else bool(ambient.resume)
 
     # Executor resolution is uniform across cells (jobs carry no
-    # executor knobs), so probe it once with the arguments the sweep
-    # calls below will pass: plans with sweep cells bound for the
-    # process executor get a plan checkpoint and an ambient pool
-    # (named resources pre-published once, cells chain off it).
-    # Serial and compute-only plans skip shared memory — publishing
-    # resources nobody attaches would duplicate them in /dev/shm — and
-    # must also skip opening (or clearing!) a plan checkpoint, because
-    # their cells ignore checkpoint roots entirely and a fresh-mode
-    # clear would destroy a prior parallel run's files while writing
-    # nothing.
+    # executor knobs), so probe it once with the arguments a sweep call
+    # would receive. Plans with sweep cells bound for the process
+    # executor get the DAG schedule, a plan checkpoint and an ambient
+    # pool (named resources pre-published once, cells chain off it).
+    # Serial and compute-only plans must skip opening (or clearing!) a
+    # plan checkpoint, because their cells ignore checkpoint roots
+    # entirely and a fresh-mode clear would destroy a prior parallel
+    # run's files while writing nothing.
     probe = (
         resolve_executor(
             executor,
@@ -143,7 +131,22 @@ def run_plan(
         if plan.sweep_cells
         else None
     )
-    parallel = probe is not None
+    resources = PlanResources(
+        {
+            name: _published_on_build(name, factory)
+            for name, factory in plan.resources.items()
+        }
+    )
+    if probe is None:
+        outputs: dict[str, object] = {}
+        with telemetry.span(
+            "plan", cat="plan", plan=plan.name,
+            scheduler="serial", cells=len(plan.cells),
+        ):
+            for cell in plan.cells:
+                outputs[cell.key] = run_cell(cell, resources)
+        return plan.finalize_outputs(outputs, resources)
+
     plan_checkpoint = (
         PlanCheckpoint(
             checkpoint_root,
@@ -158,68 +161,18 @@ def run_plan(
             },
             resume_flag,
         )
-        if checkpoint_root is not None and parallel
+        if checkpoint_root is not None
         else None
     )
+    from repro.runtime.scheduler import run_plan_dag
 
-    resources = PlanResources(
-        {
-            name: _published_on_build(name, factory)
-            for name, factory in plan.resources.items()
-        }
+    outputs = run_plan_dag(
+        plan,
+        resources,
+        workers=probe.workers,
+        plan_checkpoint=plan_checkpoint,
+        resume=resume_flag if plan_checkpoint is not None else False,
     )
-
-    if parallel and resolve_plan_scheduler(scheduler) == "dag":
-        from repro.runtime.scheduler import run_plan_dag
-
-        outputs = run_plan_dag(
-            plan,
-            resources,
-            workers=probe.workers,
-            plan_checkpoint=plan_checkpoint,
-            resume=resume_flag if plan_checkpoint is not None else False,
-        )
-        return plan.finalize_outputs(outputs, resources)
-
-    # The serial reference loop: one cell at a time, in plan order.
-    outputs: dict[str, object] = {}
-    with telemetry.span(
-        "plan", cat="plan", plan=plan.name,
-        scheduler="serial", cells=len(plan.cells),
-    ), sharedmem.shared_pool() if parallel else nullcontext() as ambient_pool:
-        try:
-            for cell in plan.cells:
-                if isinstance(cell, SweepCell):
-                    with telemetry.span(
-                        "cell", cat="plan", key=cell.key, kind="sweep"
-                    ):
-                        outputs[cell.key] = _run_sweep_cell(
-                            cell,
-                            resources,
-                            executor=executor,
-                            workers=workers,
-                            checkpoint=(
-                                plan_checkpoint.cell_root(cell.key)
-                                if plan_checkpoint is not None
-                                else None
-                            ),
-                            resume=resume_flag
-                            if plan_checkpoint is not None
-                            else resume,
-                        )
-                else:
-                    with telemetry.span(
-                        "cell", cat="plan", key=cell.key, kind="compute"
-                    ):
-                        outputs[cell.key] = cell.compute(resources)
-        finally:
-            if ambient_pool is not None:
-                # The cells' persistent workers outlive this plan; drop
-                # their attachments to the plan's resource blocks before
-                # the pool unlinks them (mirrors the DAG scheduler).
-                from repro.runtime.pool import default_pool
-
-                default_pool().retire_all(ambient_pool.block_names)
     return plan.finalize_outputs(outputs, resources)
 
 
@@ -230,10 +183,10 @@ def _published_on_build(name, factory):
     tokens (:class:`~repro.runtime.sharedmem.PoolChain`), while their
     cell-local arrays go through per-run pools that are unlinked when
     the cell finishes — the named resources are exactly the arrays
-    worth pinning for the whole plan. Serial plans never publish:
-    ``run_plan`` opens the ambient pool only for parallel executors,
-    and without an active pool this wrapper is a pass-through (the
-    resource object is returned unchanged either way).
+    worth pinning for the whole plan. Serial plans never publish: only
+    the DAG schedule opens an ambient pool, and without one this
+    wrapper is a pass-through (the resource object is returned
+    unchanged either way).
     """
 
     def build():
@@ -252,39 +205,63 @@ def _published_on_build(name, factory):
     return build
 
 
-def _run_sweep_cell(cell, resources, *, executor, workers, checkpoint, resume):
-    """Dispatch one sweep cell to the replicated-sweep engine."""
+def run_cell(cell, resources, executor="serial", plan_checkpoint=None):
+    """Run one cell and return its output.
+
+    Compute cells run in-process. Sweep cells build their job and run
+    it on ``executor`` — ``"serial"``, or the per-cell
+    :class:`~repro.runtime.executor.ProcessSweepExecutor` the DAG
+    schedule (:mod:`repro.runtime.scheduler`) passes. With a
+    ``plan_checkpoint``, a finished sweep cell records its sweep
+    manifest key there for substrate-free resume.
+    """
+    from repro.experiments.plan import SweepCell
+
+    if not isinstance(cell, SweepCell):
+        with telemetry.span("cell", cat="plan", key=cell.key, kind="compute"):
+            return cell.compute(resources)
     from repro.stats.replication import (
         run_nrmse_sweep,
         run_nrmse_sweep_from_samples,
     )
 
-    job = cell.build(resources)
-    if job.mode == "fresh":
-        return run_nrmse_sweep(
-            job.graph,
-            job.partition,
-            job.sampler,
-            job.sizes,
-            replications=job.replications,
-            rng=job.rng,
-            weight_size_plugin=job.weight_size_plugin,
-            mean_degree_model=job.mean_degree_model,
-            executor=executor,
-            workers=workers,
-            checkpoint=checkpoint,
-            resume=resume,
+    with telemetry.span("cell", cat="plan", key=cell.key, kind="sweep"):
+        job = cell.build(resources)
+        if job.mode == "fresh":
+            result = run_nrmse_sweep(
+                job.graph,
+                job.partition,
+                job.sampler,
+                job.sizes,
+                replications=job.replications,
+                rng=job.rng,
+                weight_size_plugin=job.weight_size_plugin,
+                mean_degree_model=job.mean_degree_model,
+                executor=executor,
+            )
+        else:
+            result = run_nrmse_sweep_from_samples(
+                job.graph,
+                job.partition,
+                job.samples,
+                job.sizes,
+                weight_size_plugin=job.weight_size_plugin,
+                mean_degree_model=job.mean_degree_model,
+                truth_mode=job.truth_mode,
+                executor=executor,
+            )
+    if not isinstance(executor, ProcessSweepExecutor):
+        return result
+    if executor.failover_log:
+        # Recovery events already reached the telemetry plane (and the
+        # log) from inside the driver; this summary line keeps per-cell
+        # attribution visible even with telemetry disabled.
+        _LOG.warning(
+            "cell %s recovered from %d worker failure(s)",
+            cell.key, len(executor.failover_log),
         )
-    return run_nrmse_sweep_from_samples(
-        job.graph,
-        job.partition,
-        job.samples,
-        job.sizes,
-        weight_size_plugin=job.weight_size_plugin,
-        mean_degree_model=job.mean_degree_model,
-        truth_mode=job.truth_mode,
-        executor=executor,
-        workers=workers,
-        checkpoint=checkpoint,
-        resume=resume,
-    )
+    if plan_checkpoint is not None and executor.last_checkpoint is not None:
+        # Recorded only now — after every rung landed — so a recorded
+        # key always names a complete, replayable sweep directory.
+        plan_checkpoint.record_cell(cell.key, executor.last_checkpoint.key)
+    return result

@@ -4,10 +4,11 @@ A compiled :class:`~repro.experiments.plan.SweepPlan` is a dependency
 graph, not a list: resource builds feed the cells that declared them
 (``needs=``), cells feed the finalize step, and nothing else orders
 them — every cell derives its RNG streams by fixed integer keys, so
-cell *order* can never touch an output. The serial loop in
-:mod:`repro.runtime.plan` nevertheless ran one cell at a time, each
-cell spinning up and tearing down its own worker processes while every
-other cell waited. This module closes that scheduling slack:
+cell *order* can never touch an output. :func:`repro.runtime.run_plan`
+runs every plan bound for the process executor here (serial plans take
+its in-order loop, which has no workers to overlap); both drive each
+cell through :func:`~repro.runtime.plan.run_cell`. This module closes
+the scheduling slack a cell-at-a-time loop leaves on a worker pool:
 
 * **One persistent worker pool for the whole plan**
   (:mod:`repro.runtime.pool`): workers spawn once, before the first
@@ -19,10 +20,10 @@ other cell waited. This module closes that scheduling slack:
   pending cell (or the finalize step) declared starts building
   immediately, concurrently — fig4's four dataset stand-ins no longer
   build serially in the parent before any sweep starts.
-* **Ready cells overlap**: up to ``REPRO_PLAN_INFLIGHT`` cells
-  (default 2 — enough to hide phase transitions without multiplying
-  peak memory) run concurrently, each driven by its own parent thread
-  through the shared pool.
+* **Ready cells overlap**: up to :data:`DEFAULT_INFLIGHT` cells (two
+  — enough to hide phase transitions without multiplying peak memory)
+  run concurrently, each driven by its own parent thread through the
+  shared pool.
 * **Substrate-free resume**: a resumed plan first replays every cell
   whose sweep manifest key was recorded in the plan checkpoint
   (:meth:`~repro.runtime.checkpoint.PlanCheckpoint.record_cell`) and
@@ -35,14 +36,13 @@ Determinism is inherited, not re-proven: rows are keyed by
 (cell, absolute replicate), each cell's reduction is the serial code
 path, and no floating-point value ever depends on which worker or in
 what order anything ran — so DAG output is **bit-identical** to the
-serial cell loop for any worker count and any interleaving
+serial run for any worker count and any interleaving
 (``tests/runtime/test_scheduler.py`` pins fig4 and fig6 at 1/2/3
 workers, plus mid-plan kill/resume).
 """
 
 from __future__ import annotations
 
-import os
 import warnings
 from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 
@@ -50,6 +50,7 @@ from repro.exceptions import EstimationError
 from repro.log import get_logger
 from repro.runtime import faults, sharedmem, telemetry
 from repro.runtime.executor import ProcessSweepExecutor, replay_sweep
+from repro.runtime.plan import run_cell
 from repro.runtime.pool import default_pool
 
 __all__ = ["run_plan_dag"]
@@ -60,23 +61,6 @@ _LOG = get_logger(__name__)
 #: for pipelining: the next cell samples while the previous drains its
 #: ladder, without holding many substrates in memory at once.
 DEFAULT_INFLIGHT = 2
-
-
-def _inflight_limit() -> int:
-    raw = os.environ.get("REPRO_PLAN_INFLIGHT", "").strip()
-    if not raw:
-        return DEFAULT_INFLIGHT
-    try:
-        value = int(raw)
-    except ValueError:
-        raise EstimationError(
-            f"REPRO_PLAN_INFLIGHT must be an integer, got {raw!r}"
-        ) from None
-    if value < 1:
-        raise EstimationError(
-            f"REPRO_PLAN_INFLIGHT must be >= 1, got {value}"
-        )
-    return value
 
 
 def run_plan_dag(plan, resources, *, workers, plan_checkpoint, resume):
@@ -121,7 +105,7 @@ def run_plan_dag(plan, resources, *, workers, plan_checkpoint, resume):
 def _run_plan_dag(plan, resources, *, workers, plan_checkpoint, resume):
     from repro.experiments.plan import SweepCell
 
-    inflight = _inflight_limit()
+    inflight = DEFAULT_INFLIGHT
     outputs: dict[str, object] = {}
 
     # Phase 0 — substrate-free replay of recorded, fully-cached cells.
@@ -209,15 +193,29 @@ def _run_plan_dag(plan, resources, *, workers, plan_checkpoint, resume):
                             break
                         if ready(cell):
                             waiting.remove(cell)
+                            # A fresh executor instance per cell: the
+                            # instance form is what carries a per-cell
+                            # checkpoint root plus the shared pool, while
+                            # the resolved worker count stays uniform
+                            # across the plan.
+                            executor = ProcessSweepExecutor(
+                                workers=workers,
+                                checkpoint=(
+                                    plan_checkpoint.cell_root(cell.key)
+                                    if plan_checkpoint is not None
+                                    else None
+                                ),
+                                resume=bool(resume),
+                                pool=pool,
+                                label=cell.label,
+                            )
                             running[
                                 threads.submit(
-                                    _run_cell,
+                                    run_cell,
                                     cell,
                                     resources,
-                                    workers=workers,
-                                    plan_checkpoint=plan_checkpoint,
-                                    resume=resume,
-                                    pool=pool,
+                                    executor,
+                                    plan_checkpoint,
                                 )
                             ] = cell
                     blockers = list(running) + [
@@ -254,69 +252,3 @@ def _run_plan_dag(plan, resources, *, workers, plan_checkpoint, resume):
             ambient.__exit__(None, None, None)
 
     return {cell.key: outputs[cell.key] for cell in plan.cells}
-
-
-def _run_cell(cell, resources, *, workers, plan_checkpoint, resume, pool):
-    """Run one ready cell in a driver thread (sweep or compute)."""
-    from repro.experiments.plan import SweepCell
-
-    if not isinstance(cell, SweepCell):
-        with telemetry.span("cell", cat="plan", key=cell.key, kind="compute"):
-            return cell.compute(resources)
-    from repro.stats.replication import (
-        run_nrmse_sweep,
-        run_nrmse_sweep_from_samples,
-    )
-
-    # A fresh executor instance per cell: the instance form is what
-    # carries a per-cell checkpoint root plus the shared pool, while
-    # the resolved worker count stays uniform across the plan.
-    executor = ProcessSweepExecutor(
-        workers=workers,
-        checkpoint=(
-            plan_checkpoint.cell_root(cell.key)
-            if plan_checkpoint is not None
-            else None
-        ),
-        resume=bool(resume) if plan_checkpoint is not None else False,
-        pool=pool,
-        label=cell.label,
-    )
-    with telemetry.span("cell", cat="plan", key=cell.key, kind="sweep"):
-        job = cell.build(resources)
-        if job.mode == "fresh":
-            result = run_nrmse_sweep(
-                job.graph,
-                job.partition,
-                job.sampler,
-                job.sizes,
-                replications=job.replications,
-                rng=job.rng,
-                weight_size_plugin=job.weight_size_plugin,
-                mean_degree_model=job.mean_degree_model,
-                executor=executor,
-            )
-        else:
-            result = run_nrmse_sweep_from_samples(
-                job.graph,
-                job.partition,
-                job.samples,
-                job.sizes,
-                weight_size_plugin=job.weight_size_plugin,
-                mean_degree_model=job.mean_degree_model,
-                truth_mode=job.truth_mode,
-                executor=executor,
-            )
-    if executor.failover_log:
-        # Recovery events already reached the telemetry plane (and the
-        # log) from inside the driver; this summary line keeps per-cell
-        # attribution visible even with telemetry disabled.
-        _LOG.warning(
-            "cell %s recovered from %d worker failure(s)",
-            cell.key, len(executor.failover_log),
-        )
-    if plan_checkpoint is not None and executor.last_checkpoint is not None:
-        # Recorded only now — after every rung landed — so a recorded
-        # key always names a complete, replayable sweep directory.
-        plan_checkpoint.record_cell(cell.key, executor.last_checkpoint.key)
-    return result

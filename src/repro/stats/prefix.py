@@ -12,11 +12,20 @@ running prefix state:
   (sharing one draw-list compression via ``observe_both``);
 * per rung, only the *new* draws update an integer multiplicity vector
   (an O(delta) delta update);
-* every estimator reduction then runs over **fixed, precomputed** key
-  arrays (category keys of the neighbor histogram entries and of both
-  induced-edge directions) with per-rung weights derived from the
-  multiplicity state — plain ``np.bincount`` histograms, no draw-list
-  sort, no remapping, no re-gathered CSR slices.
+* every aggregate the estimators need (reweighted counts, degree
+  totals, the neighbor-category matrix, the induced numerator) is then
+  reduced over **fixed, precomputed** key arrays (category keys of the
+  neighbor histogram entries and of both induced-edge directions) with
+  per-rung weights derived from the multiplicity state — plain
+  ``np.bincount`` histograms, no draw-list sort, no remapping, no
+  re-gathered CSR slices;
+* the estimator arithmetic on those aggregates is not repeated here:
+  it is the one implementation in :mod:`repro.core`
+  (:func:`~repro.core.category_size.induced_sizes`,
+  :func:`~repro.core.category_size.star_sizes`,
+  :func:`~repro.core.edge_weight.induced_weights`,
+  :func:`~repro.core.edge_weight.star_weights`), which the public
+  estimators call too.
 
 Equivalence contract
 --------------------
@@ -35,18 +44,19 @@ compresses the prefix and then reduces. Consequently:
   ``subset_draws`` output (same distinct-row order, multiplicities,
   sliced neighbor CSR and induced-edge arrays).
 
-``tests/stats/test_prefix.py`` enforces both properties; the mirrored
-estimator formulas below must stay in lockstep with
-:mod:`repro.core.category_size` and :mod:`repro.core.edge_weight`.
+``tests/stats/test_prefix.py`` enforces both properties.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
+from repro.core.category_size import induced_sizes, star_sizes
+from repro.core.edge_weight import induced_weights, star_weights
 from repro.exceptions import EstimationError
 from repro.graph.adjacency import Graph
 from repro.graph.partition import CategoryPartition
@@ -145,20 +155,16 @@ class IncrementalPrefixLadder:
         return self._induced, self._star
 
     def fold(self, size: int) -> None:
-        """Advance the prefix state to ``size`` without estimating.
+        """Fold draws ``[prefix, size)`` into the multiplicity state.
 
-        The resume path of the parallel executor
-        (:mod:`repro.runtime`): rungs already persisted in a checkpoint
-        are replayed from disk, and each worker only *folds* its
-        replicates past them. Folding is pure integer multiplicity
-        accumulation — order-free and exact — so the estimates of every
-        later rung are bit-identical whether the earlier rungs were
-        computed or skipped.
+        Called alone, this advances past a rung without estimating it:
+        the resume path of the parallel executor
+        (:mod:`repro.runtime`) replays checkpointed rungs from disk and
+        each worker only *folds* its replicates past them. Folding is
+        pure integer multiplicity accumulation — order-free and exact —
+        so the estimates of every later rung are bit-identical whether
+        the earlier rungs were computed or skipped.
         """
-        self._fold(size)
-
-    def _fold(self, size: int) -> None:
-        """Fold draws ``[prefix, size)`` into the multiplicity state."""
         if size <= self._prefix:
             raise EstimationError(
                 f"prefix sizes must increase, got {size} after {self._prefix}"
@@ -174,9 +180,6 @@ class IncrementalPrefixLadder:
         )
         self._prefix = size
 
-    # ------------------------------------------------------------------
-    # Fast path: estimates straight from the running aggregates
-    # ------------------------------------------------------------------
     def estimates(
         self,
         size: int,
@@ -188,14 +191,8 @@ class IncrementalPrefixLadder:
         Bit-for-bit equal to evaluating :mod:`repro.core` estimators on
         ``subset_draws``-restricted observations (see module docstring).
         """
-        if mean_degree_model not in ("per-category", "global"):
-            raise EstimationError(
-                f"unknown mean_degree_model {mean_degree_model!r}; "
-                "use 'per-category' or 'global'"
-            )
-        self._fold(size)
-        star = self._star
-        c = star.num_categories
+        self.fold(size)
+        c = self._star.num_categories
         # Reweighting ratios m(v)/w(v); exactly 0.0 outside the prefix.
         ratios = self._multiplicities / self._weights
         in_prefix = self._multiplicities > 0
@@ -204,116 +201,67 @@ class IncrementalPrefixLadder:
         # accumulates bit-identical sums (excluded entries add exact 0.0).
         sparse_rung = 3 * int(np.count_nonzero(in_prefix)) < len(in_prefix)
 
-        # Eq. (4)/(11) — mirrors estimate_sizes_induced.
         reweighted = np.bincount(
             self._categories, weights=ratios, minlength=c
         )
-        total_reweighted = reweighted.sum()
-        if total_reweighted <= 0:
-            raise EstimationError("sample has no usable draws")
-        sizes_induced = population_size * reweighted / total_reweighted
-
-        # Eq. (5)/(12) — mirrors estimate_sizes_star.
         degree_totals = np.bincount(
             self._categories, weights=ratios * self._degrees, minlength=c
         )
-        total_degree = degree_totals.sum()
-        if total_degree <= 0:
-            sizes_star = np.full(c, np.nan)
-            neighbor_matrix = np.zeros((c, c))
+        if sparse_rung:
+            # Early rungs: reduce only the live histogram entries.
+            idx = np.flatnonzero(in_prefix[self._nbr_owner])
+            neighbor_matrix = np.bincount(
+                self._nbr_keys[idx],
+                weights=ratios[self._nbr_owner[idx]] * self._nbr_counts[idx],
+                minlength=c * c,
+            ).reshape(c, c)
         else:
-            k_global = total_degree / total_reweighted
-            with np.errstate(invalid="ignore", divide="ignore"):
-                k_per_category = np.where(
-                    reweighted > 0, degree_totals / reweighted, np.nan
-                )
-            if sparse_rung:
-                # Early rungs: reduce only the live histogram entries.
-                idx = np.flatnonzero(in_prefix[self._nbr_owner])
-                neighbor_matrix = np.bincount(
-                    self._nbr_keys[idx],
-                    weights=ratios[self._nbr_owner[idx]] * self._nbr_counts[idx],
-                    minlength=c * c,
-                ).reshape(c, c)
-            else:
-                np.take(ratios, self._nbr_owner, out=self._nbr_scratch)
-                np.multiply(
-                    self._nbr_scratch, self._nbr_counts, out=self._nbr_scratch
-                )
-                neighbor_matrix = np.bincount(
-                    self._nbr_keys, weights=self._nbr_scratch, minlength=c * c
-                ).reshape(c, c)
-            f_vol = neighbor_matrix.sum(axis=0) / total_degree
-            k_a = (
-                k_per_category
-                if mean_degree_model == "per-category"
-                else np.full(c, k_global)
+            np.take(ratios, self._nbr_owner, out=self._nbr_scratch)
+            np.multiply(
+                self._nbr_scratch, self._nbr_counts, out=self._nbr_scratch
             )
-            with np.errstate(invalid="ignore", divide="ignore"):
-                sizes_star = population_size * f_vol * k_global / k_a
+            neighbor_matrix = np.bincount(
+                self._nbr_keys, weights=self._nbr_scratch, minlength=c * c
+            ).reshape(c, c)
 
-        # Eq. (8)/(15) — mirrors estimate_weights_induced.
         num_edges = len(self._edge_src)
-        if num_edges:
-            if sparse_rung:
-                # Early rungs: most edges have an unsampled endpoint and
-                # contribute exactly 0.0 — reduce only the live ones.
-                idx = np.flatnonzero(
-                    in_prefix[self._edge_src] & in_prefix[self._edge_dst]
-                )
-                contributions = (
-                    ratios[self._edge_src[idx]] * ratios[self._edge_dst[idx]]
-                )
-                numerator = np.bincount(
-                    np.concatenate(
-                        (self._edge_keys[idx], self._edge_keys[num_edges + idx])
-                    ),
-                    weights=np.concatenate((contributions, contributions)),
-                    minlength=c * c,
-                ).reshape(c, c)
-            else:
-                scratch = self._edge_scratch
-                np.multiply(
-                    ratios[self._edge_src], ratios[self._edge_dst],
-                    out=scratch[:num_edges],
-                )
-                scratch[num_edges:] = scratch[:num_edges]
-                numerator = np.bincount(
-                    self._edge_keys, weights=scratch, minlength=c * c
-                ).reshape(c, c)
+        if num_edges and sparse_rung:
+            # Early rungs: most edges have an unsampled endpoint and
+            # contribute exactly 0.0 — reduce only the live ones.
+            idx = np.flatnonzero(
+                in_prefix[self._edge_src] & in_prefix[self._edge_dst]
+            )
+            contributions = (
+                ratios[self._edge_src[idx]] * ratios[self._edge_dst[idx]]
+            )
+            numerator = np.bincount(
+                np.concatenate(
+                    (self._edge_keys[idx], self._edge_keys[num_edges + idx])
+                ),
+                weights=np.concatenate((contributions, contributions)),
+                minlength=c * c,
+            ).reshape(c, c)
+        elif num_edges:
+            scratch = self._edge_scratch
+            np.multiply(
+                ratios[self._edge_src], ratios[self._edge_dst],
+                out=scratch[:num_edges],
+            )
+            scratch[num_edges:] = scratch[:num_edges]
+            numerator = np.bincount(
+                self._edge_keys, weights=scratch, minlength=c * c
+            ).reshape(c, c)
         else:
             numerator = np.zeros((c, c))
-        denominator = np.outer(reweighted, reweighted)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            weights_induced = np.where(
-                denominator > 0, numerator / denominator, np.nan
-            )
-        np.fill_diagonal(weights_induced, np.nan)
-
-        # Eq. (9)/(16) — mirrors estimate_weights_star; deferred plug-in.
-        def weights_star(category_sizes: np.ndarray) -> np.ndarray:
-            category_sizes = np.asarray(category_sizes, dtype=float)
-            if category_sizes.shape != (c,):
-                raise EstimationError(
-                    f"category_sizes must have shape ({c},), "
-                    f"got {category_sizes.shape}"
-                )
-            star_numerator = neighbor_matrix + neighbor_matrix.T
-            star_denominator = np.outer(reweighted, category_sizes) + np.outer(
-                category_sizes, reweighted
-            )
-            with np.errstate(invalid="ignore", divide="ignore"):
-                out = np.where(
-                    star_denominator > 0, star_numerator / star_denominator, np.nan
-                )
-            np.fill_diagonal(out, np.nan)
-            return out
 
         return RungEstimates(
-            sizes_induced=sizes_induced,
-            sizes_star=sizes_star,
-            weights_induced=weights_induced,
-            weights_star=weights_star,
+            sizes_induced=induced_sizes(reweighted, population_size),
+            sizes_star=star_sizes(
+                reweighted, degree_totals, neighbor_matrix,
+                population_size, mean_degree_model,
+            ),
+            weights_induced=induced_weights(numerator, reweighted),
+            weights_star=partial(star_weights, neighbor_matrix, reweighted),
         )
 
     # ------------------------------------------------------------------
@@ -327,7 +275,7 @@ class IncrementalPrefixLadder:
         :meth:`estimates` (it rebuilds the sliced CSR arrays); intended
         for consumers that need observation *objects*.
         """
-        self._fold(size)
+        self.fold(size)
         kept = np.flatnonzero(self._multiplicities > 0)
         remap = np.full(self._star.num_distinct, -1, dtype=np.int64)
         remap[kept] = np.arange(len(kept))

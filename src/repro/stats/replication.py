@@ -8,33 +8,33 @@ estimator families on each truncation, and reduce to element-wise NRMSE
 
 Performance architecture
 ------------------------
-Both hot phases run on fast paths by default, each with a slow
-reference twin kept for equivalence testing and benchmarking:
+Each layer of the sweep has one production path:
 
-* **Sampling** — ``engine="batched"`` draws all R replicates through
+* **Sampling** — all R replicates are drawn through
   :meth:`~repro.sampling.base.Sampler.sample_many`, which advances walk
-  designs as one vectorized frontier (:mod:`repro.sampling.batch`);
-  ``engine="sequential"`` is the seed per-replicate loop. The two are
-  bit-for-bit identical per replicate stream.
-* **The ladder** — ``ladder="incremental"`` folds each rung's new draws
-  into running prefix aggregates
-  (:class:`~repro.stats.prefix.IncrementalPrefixLadder`);
-  ``ladder="subset"`` re-subsets every rung from scratch via
-  ``subset_draws``. Again bit-for-bit identical estimates.
+  designs as one vectorized frontier (:mod:`repro.sampling.batch`) and
+  is bit-for-bit identical per replicate stream to calling
+  :meth:`~repro.sampling.base.Sampler.sample` once per spawned stream.
+* **The ladder** — each replicate's rungs fold the new draws into
+  running prefix aggregates
+  (:class:`~repro.stats.prefix.IncrementalPrefixLadder`), bit-for-bit
+  equal to re-subsetting every rung via ``subset_draws`` and running
+  the :mod:`repro.core` estimators. The per-stream/re-subset reference
+  sweep lives with the tests (``tests/oracles.py``).
 
-A third axis, orthogonal to both, shards the R replicates across
-*processes*: ``executor="process"`` hands the sweep to the
-:mod:`repro.runtime` executor, which publishes the graph arrays once
-via shared memory, reconstructs each replicate's RNG stream from its
-spawned seed (so shard assignment cannot change a trajectory), and
-reduces the per-replicate estimate rows exactly as the serial path
-does — the resulting :class:`SweepResult` is bit-identical for any
-worker count, and supports rung-level checkpoint/resume. Both entry
-points ride it: :func:`run_nrmse_sweep` shards sampling *and* the
-ladder, while :func:`run_nrmse_sweep_from_samples` (pre-drawn crawls)
-ships the replicate samples through shared memory and shards the
-ladder phase alone. Each resolves executor/workers/checkpoint/resume
-from its arguments, then the ambient runtime configuration
+A third axis shards the R replicates across *processes*:
+``executor="process"`` hands the sweep to the :mod:`repro.runtime`
+executor, which publishes the graph arrays once via shared memory,
+reconstructs each replicate's RNG stream from its spawned seed (so
+shard assignment cannot change a trajectory), and reduces the
+per-replicate estimate rows exactly as the serial path does — the
+resulting :class:`SweepResult` is bit-identical for any worker count,
+and supports rung-level checkpoint/resume. Both entry points ride it:
+:func:`run_nrmse_sweep` shards sampling *and* the ladder, while
+:func:`run_nrmse_sweep_from_samples` (pre-drawn crawls) ships the
+replicate samples through shared memory and shards the ladder phase
+alone. Each resolves executor/workers/checkpoint/resume from its
+arguments, then the ambient runtime configuration
 (:func:`repro.runtime.runtime_options`, the ``REPRO_*`` environment),
 identically.
 """
@@ -44,19 +44,15 @@ from __future__ import annotations
 import os
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
-from repro.core.category_size import estimate_sizes_induced, estimate_sizes_star
-from repro.core.edge_weight import estimate_weights_induced, estimate_weights_star
 from repro.exceptions import EstimationError
 from repro.graph.adjacency import Graph
 from repro.graph.category_graph import CategoryGraph, true_category_graph
 from repro.graph.partition import CategoryPartition
-from repro.rng import ensure_rng, spawn_rngs
+from repro.rng import ensure_rng
 from repro.sampling.base import NodeSample, Sampler
-from repro.sampling.observation import observe_induced, observe_star
 from repro.stats.errors import nanmean_rows, nrmse_stack
 from repro.stats.prefix import IncrementalPrefixLadder, RungEstimates
 
@@ -121,8 +117,6 @@ def run_nrmse_sweep(
     rng: "np.random.Generator | int | None" = None,
     weight_size_plugin: str = "star",
     mean_degree_model: str = "per-category",
-    engine: str = "batched",
-    ladder: str = "incremental",
     executor: "str | object | None" = None,
     workers: int | None = None,
     checkpoint: "str | os.PathLike | None" = None,
@@ -141,13 +135,8 @@ def run_nrmse_sweep(
         default; falls back to induced for categories the star size
         estimator cannot resolve), ``"induced"``, or ``"true"``
         (oracle, for ablations).
-    engine:
-        ``"batched"`` (default) draws all replicates at once through
-        :meth:`~repro.sampling.base.Sampler.sample_many`;
-        ``"sequential"`` is the per-replicate reference loop. Replicate
-        trajectories are bit-for-bit identical either way.
-    ladder:
-        Forwarded to :func:`run_nrmse_sweep_from_samples`.
+    mean_degree_model:
+        Forwarded to :func:`~repro.core.category_size.estimate_sizes_star`.
     executor:
         ``"serial"`` (in-process, the default), ``"process"`` (the
         :mod:`repro.runtime` shared-memory multi-process executor), or
@@ -166,21 +155,17 @@ def run_nrmse_sweep(
         which already carries its own configuration.
     """
     sizes = _validated_sizes(sample_sizes)
+    _check_sweep_arguments(replications, weight_size_plugin, mean_degree_model)
     gen = ensure_rng(rng)
-    if engine not in ("batched", "sequential"):
-        raise EstimationError(
-            f"unknown engine {engine!r}; use 'batched' or 'sequential'"
-        )
-    sampler_or_factory = sampler_factory
+    sampler = (
+        sampler_factory
+        if isinstance(sampler_factory, Sampler)
+        else sampler_factory()
+    )
     from repro.runtime.config import resolve_executor  # deferred: cycle
 
     active = resolve_executor(executor, workers, checkpoint, resume)
     if active is not None:
-        sampler = (
-            sampler_or_factory
-            if isinstance(sampler_or_factory, Sampler)
-            else sampler_or_factory()
-        )
         return active.run(
             graph,
             partition,
@@ -188,27 +173,10 @@ def run_nrmse_sweep(
             sizes,
             replications,
             gen,
-            engine=engine,
-            ladder=ladder,
             weight_size_plugin=weight_size_plugin,
             mean_degree_model=mean_degree_model,
         )
-    if engine == "batched":
-        sampler = (
-            sampler_or_factory
-            if isinstance(sampler_or_factory, Sampler)
-            else sampler_or_factory()
-        )
-        samples = list(sampler.sample_many(int(sizes[-1]), replications, rng=gen))
-    else:
-        samples = []
-        for stream in spawn_rngs(gen, replications):
-            sampler = (
-                sampler_or_factory
-                if isinstance(sampler_or_factory, Sampler)
-                else sampler_or_factory()
-            )
-            samples.append(sampler.sample(int(sizes[-1]), rng=stream))
+    samples = list(sampler.sample_many(int(sizes[-1]), replications, rng=gen))
     return run_nrmse_sweep_from_samples(
         graph,
         partition,
@@ -216,7 +184,6 @@ def run_nrmse_sweep(
         sizes,
         weight_size_plugin=weight_size_plugin,
         mean_degree_model=mean_degree_model,
-        ladder=ladder,
         # The executor decision was already made above; without this the
         # ambient configuration would re-route the ladder phase of an
         # explicitly serial sweep through the process executor.
@@ -232,7 +199,6 @@ def run_nrmse_sweep_from_samples(
     weight_size_plugin: str = "star",
     mean_degree_model: str = "per-category",
     truth_mode: str = "exact",
-    ladder: str = "incremental",
     executor: "str | object | None" = None,
     workers: int | None = None,
     checkpoint: "str | os.PathLike | None" = None,
@@ -247,10 +213,6 @@ def run_nrmse_sweep_from_samples(
     all samples" — scoring each estimator kind against the average of
     its own full-length estimates, which measures variance but not bias.
 
-    ``ladder="incremental"`` (default) computes each rung as a delta
-    update of running prefix aggregates; ``ladder="subset"`` re-subsets
-    every rung via ``subset_draws``. Estimates are bit-for-bit identical.
-
     ``executor``/``workers``/``checkpoint``/``resume`` mirror
     :func:`run_nrmse_sweep` exactly: ``None`` defers to the ambient
     runtime configuration (:func:`repro.runtime.runtime_options`, then
@@ -260,21 +222,12 @@ def run_nrmse_sweep_from_samples(
     contract and rung-level checkpoint/resume.
     """
     sizes = _validated_sizes(sample_sizes)
-    if not samples:
-        raise EstimationError("need at least one replicate sample")
+    _check_sweep_arguments(
+        len(samples), weight_size_plugin, mean_degree_model, truth_mode
+    )
     if any(s.size < sizes[-1] for s in samples):
         raise EstimationError(
             f"every sample must have at least {sizes[-1]} draws for this sweep"
-        )
-    if weight_size_plugin not in ("star", "induced", "true"):
-        raise EstimationError(
-            f"unknown weight_size_plugin {weight_size_plugin!r}"
-        )
-    if truth_mode not in ("exact", "cross-sample"):
-        raise EstimationError(f"unknown truth_mode {truth_mode!r}")
-    if ladder not in ("incremental", "subset"):
-        raise EstimationError(
-            f"unknown ladder {ladder!r}; use 'incremental' or 'subset'"
         )
     from repro.runtime.config import resolve_executor  # deferred: cycle
 
@@ -288,7 +241,6 @@ def run_nrmse_sweep_from_samples(
             weight_size_plugin=weight_size_plugin,
             mean_degree_model=mean_degree_model,
             truth_mode=truth_mode,
-            ladder=ladder,
         )
     truth = true_category_graph(graph, partition)
     n_pop = graph.num_nodes
@@ -304,20 +256,56 @@ def run_nrmse_sweep_from_samples(
         "sweep.serial", cat="driver", replicates=r, rungs=k
     ):
         for rep, sample in enumerate(samples):
-            rungs = _ladder_rungs(
-                graph, partition, sample, sizes, ladder, n_pop,
-                mean_degree_model,
-            )
-            for si, rung in enumerate(rungs):
-                rows = _rung_rows(rung, weight_size_plugin, truth.sizes)
+            ladder = IncrementalPrefixLadder(graph, partition, sample)
+            for si, size in enumerate(sizes):
+                rows = _rung_rows(
+                    ladder.estimates(
+                        int(size), n_pop, mean_degree_model=mean_degree_model
+                    ),
+                    weight_size_plugin,
+                    truth.sizes,
+                )
                 size_stacks["induced"][rep, si] = rows[0]
                 size_stacks["star"][rep, si] = rows[1]
                 weight_stacks["induced"][rep, si] = rows[2]
                 weight_stacks["star"][rep, si] = rows[3]
+            # Free this replicate's ladder before the next one is built,
+            # so the allocator reuses its memory instead of faulting in
+            # fresh pages for every replicate.
+            del ladder
 
     return _reduce_stacks(
         sizes, size_stacks, weight_stacks, truth, truth_mode
     )
+
+
+def _check_sweep_arguments(
+    replications: int,
+    weight_size_plugin: str,
+    mean_degree_model: str,
+    truth_mode: str = "exact",
+) -> None:
+    """Reject bad sweep arguments before anything is drawn or observed.
+
+    Every sweep entry point — serial or process executor, fresh-draw or
+    pre-drawn — calls this first, so a bad argument raises the same
+    :class:`~repro.exceptions.EstimationError` whichever path runs.
+    """
+    if replications < 1:
+        raise EstimationError(
+            f"replications must be positive, got {replications}"
+        )
+    if weight_size_plugin not in ("star", "induced", "true"):
+        raise EstimationError(
+            f"unknown weight_size_plugin {weight_size_plugin!r}"
+        )
+    if mean_degree_model not in ("per-category", "global"):
+        raise EstimationError(
+            f"unknown mean_degree_model {mean_degree_model!r}; "
+            "use 'per-category' or 'global'"
+        )
+    if truth_mode not in ("exact", "cross-sample"):
+        raise EstimationError(f"unknown truth_mode {truth_mode!r}")
 
 
 def _reduce_stacks(
@@ -373,52 +361,6 @@ def _reduce_stacks(
         weight_coverage=weight_cov,
         truth=truth,
     )
-
-
-def _subset_rung(
-    star_full,
-    induced_full,
-    size: int,
-    n_pop: float,
-    mean_degree_model: str,
-) -> RungEstimates:
-    """One rung of the ``ladder="subset"`` reference path."""
-    prefix = np.arange(int(size))
-    star_obs = star_full.subset_draws(prefix)
-    induced_obs = induced_full.subset_draws(prefix)
-    return RungEstimates(
-        sizes_induced=estimate_sizes_induced(induced_obs, n_pop),
-        sizes_star=estimate_sizes_star(
-            star_obs, n_pop, mean_degree_model=mean_degree_model
-        ),
-        weights_induced=estimate_weights_induced(induced_obs),
-        weights_star=partial(estimate_weights_star, star_obs),
-    )
-
-
-def _ladder_rungs(
-    graph: Graph,
-    partition: CategoryPartition,
-    sample: NodeSample,
-    sizes: np.ndarray,
-    ladder: str,
-    n_pop: float,
-    mean_degree_model: str,
-):
-    """Yield :class:`~repro.stats.prefix.RungEstimates` per ladder rung."""
-    if ladder == "incremental":
-        incremental = IncrementalPrefixLadder(graph, partition, sample)
-        for size in sizes:
-            yield incremental.estimates(
-                int(size), n_pop, mean_degree_model=mean_degree_model
-            )
-    else:
-        star_full = observe_star(graph, partition, sample)
-        induced_full = observe_induced(graph, partition, sample)
-        for size in sizes:
-            yield _subset_rung(
-                star_full, induced_full, size, n_pop, mean_degree_model
-            )
 
 
 def _rung_rows(

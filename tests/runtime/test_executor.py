@@ -26,6 +26,8 @@ from repro.sampling import (
 from repro.sampling.base import Sampler
 from repro.stats import run_nrmse_sweep
 
+from tests.oracles import reference_sweep
+
 LADDER = (40, 120, 360)
 REPLICATIONS = 6
 SEED = 1234
@@ -104,17 +106,11 @@ def test_process_executor_bit_identical_for_any_worker_count(
 
 
 def test_reference_engine_and_ladder_also_shard_exactly(world):
-    """The executor is orthogonal to engine/ladder selection."""
+    """A sharded sweep equals the per-stream, re-subset reference oracle."""
     graph, partition, relation = world
-    kwargs = dict(
-        sample_sizes=LADDER,
-        replications=REPLICATIONS,
-        rng=SEED,
-        engine="sequential",
-        ladder="subset",
-    )
-    serial = run_nrmse_sweep(
-        graph, partition, RandomWalkSampler(graph), executor="serial", **kwargs
+    kwargs = dict(sample_sizes=LADDER, replications=REPLICATIONS, rng=SEED)
+    reference = reference_sweep(
+        graph, partition, RandomWalkSampler(graph), **kwargs
     )
     parallel = run_nrmse_sweep(
         graph,
@@ -124,7 +120,7 @@ def test_reference_engine_and_ladder_also_shard_exactly(world):
         workers=3,
         **kwargs,
     )
-    assert_sweeps_equal(serial, parallel, "sequential+subset")
+    assert_sweeps_equal(reference, parallel, "sequential+subset")
 
 
 def test_workers_beyond_replications_are_clamped(world, serial_sweeps):
@@ -219,18 +215,6 @@ def test_invalid_executor_arguments_rejected(world):
         )
     with pytest.raises(EstimationError, match="workers must be >= 1"):
         ProcessSweepExecutor(workers=0)
-    with pytest.raises(EstimationError, match="unknown ladder"):
-        run_nrmse_sweep(
-            graph,
-            partition,
-            RandomWalkSampler(graph),
-            LADDER,
-            replications=REPLICATIONS,
-            rng=SEED,
-            executor="process",
-            workers=1,
-            ladder="bogus",
-        )
 
 
 def test_executor_instance_rejects_conflicting_knobs(world):
@@ -279,17 +263,6 @@ def test_bare_process_knobs_imply_the_process_executor(world, serial_sweeps):
         workers=2,
     )
     assert_sweeps_equal(serial_sweeps["rw"], parallel, "implied process")
-
-
-def test_sample_streams_rejects_unknown_engines(world):
-    from repro.rng import spawn_rngs
-    from repro.sampling.batch import sample_streams
-
-    graph, partition, relation = world
-    with pytest.raises(SamplingError, match="unknown engine"):
-        sample_streams(
-            RandomWalkSampler(graph), 10, spawn_rngs(0, 2), engine="Batched"
-        )
 
 
 def test_malformed_workers_env_names_the_variable(monkeypatch):

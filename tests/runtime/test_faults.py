@@ -237,7 +237,7 @@ def test_mid_plan_worker_kill_is_byte_identical():
 
     serial_result = run_experiment("fig6", preset=TINY, rng=0)
     with faults.inject("kill-worker:rung=0"), runtime_options(
-        executor="process", workers=2, plan_scheduler="dag"
+        executor="process", workers=2
     ):
         chaotic = run_experiment("fig6", preset=TINY, rng=0)
     assert_results_equal(serial_result, chaotic, "fig6 with mid-rung kill")

@@ -3,7 +3,7 @@
 The acceptance bar of the scheduler refactor: a plan executed as a DAG
 — resources building concurrently, independent cells overlapping on the
 persistent worker pool — produces **byte-identical** output to the
-serial cell loop for any worker count and any in-flight bound; a plan
+serial run for any worker count and any in-flight bound; a plan
 killed with several cells in flight resumes to the same bytes; and a
 fully rung-cached cell resumes without its substrate ever being built.
 """
@@ -24,8 +24,7 @@ from repro.experiments.plan import (
     SweepPlan,
 )
 from repro.generators import planted_category_graph
-from repro.runtime import runtime_options
-from repro.runtime.config import resolve_plan_scheduler
+from repro.runtime import runtime_options, scheduler
 from repro.runtime.plan import run_plan
 from repro.runtime.pool import default_pool, reset_default_pools
 from repro.sampling import RandomWalkSampler
@@ -51,36 +50,16 @@ def fig4_serial():
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("workers", [1, 2, 3])
 def test_fig6_dag_bit_identical_for_any_worker_count(workers, fig6_serial):
-    with runtime_options(
-        executor="process", workers=workers, plan_scheduler="dag"
-    ):
+    with runtime_options(executor="process", workers=workers):
         dag = run_experiment("fig6", preset=TINY, rng=0)
     assert_results_equal(fig6_serial, dag, f"fig6 dag workers={workers}")
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
 def test_fig4_dag_bit_identical_for_any_worker_count(workers, fig4_serial):
-    with runtime_options(
-        executor="process", workers=workers, plan_scheduler="dag"
-    ):
+    with runtime_options(executor="process", workers=workers):
         dag = run_experiment("fig4", preset=TINY, rng=0)
     assert_results_equal(fig4_serial, dag, f"fig4 dag workers={workers}")
-
-
-@pytest.mark.parametrize("experiment", ["fig4", "fig6"])
-def test_dag_matches_serial_loop_under_the_process_executor(
-    experiment, fig4_serial, fig6_serial
-):
-    """Same executor, different schedules: the loop is the DAG's twin."""
-    with runtime_options(
-        executor="process", workers=2, plan_scheduler="serial"
-    ):
-        loop = run_experiment(experiment, preset=TINY, rng=0)
-    with runtime_options(executor="process", workers=2, plan_scheduler="dag"):
-        dag = run_experiment(experiment, preset=TINY, rng=0)
-    assert_results_equal(loop, dag, f"{experiment} loop-vs-dag")
-    baseline = fig4_serial if experiment == "fig4" else fig6_serial
-    assert_results_equal(baseline, dag, f"{experiment} serial-vs-dag")
 
 
 @pytest.mark.parametrize(
@@ -90,44 +69,36 @@ def test_every_other_experiment_is_dag_bit_identical_too(experiment):
     """The acceptance bar covers the whole registry, not just the two
     DAG-widest plans (fig4/fig6 get the 1/2/3-worker treatment above)."""
     serial = run_experiment(experiment, preset=TINY, rng=0)
-    with runtime_options(executor="process", workers=2, plan_scheduler="dag"):
+    with runtime_options(executor="process", workers=2):
         dag = run_experiment(experiment, preset=TINY, rng=0)
     assert_results_equal(serial, dag, f"{experiment} serial-vs-dag")
 
 
-@pytest.mark.parametrize("inflight", ["1", "3"])
+@pytest.mark.parametrize("inflight", [1, 3])
 def test_inflight_bound_never_touches_the_bytes(
     inflight, fig6_serial, monkeypatch
 ):
-    monkeypatch.setenv("REPRO_PLAN_INFLIGHT", inflight)
+    monkeypatch.setattr(scheduler, "DEFAULT_INFLIGHT", inflight)
     with runtime_options(executor="process", workers=2):
         dag = run_experiment("fig6", preset=TINY, rng=0)
     assert_results_equal(fig6_serial, dag, f"fig6 inflight={inflight}")
-
-
-def test_malformed_inflight_names_the_variable(monkeypatch):
-    monkeypatch.setenv("REPRO_PLAN_INFLIGHT", "two")
-    with pytest.raises(EstimationError, match="REPRO_PLAN_INFLIGHT"):
-        with runtime_options(executor="process", workers=2):
-            run_experiment("fig6", preset=TINY, rng=0)
 
 
 # ----------------------------------------------------------------------
 # Kill/resume with cells in flight
 # ----------------------------------------------------------------------
 def test_mid_plan_kill_with_two_cells_in_flight_resumes_to_same_bytes(
-    fig6_serial, tmp_path, monkeypatch
+    fig6_serial, tmp_path
 ):
     """Two cells die mid-ladder (the in-flight pair), later cells never
     started; ``--resume`` must finish the plan to the same bytes.
 
     The kill is simulated by pruning the checkpoint to exactly the
-    state a kill with ``REPRO_PLAN_INFLIGHT=2`` produces: one cell
+    state a kill with two cells in flight produces: one cell
     complete, the two in-flight cells each missing their later rungs,
     the rest absent — and ``cells.json`` still claiming the pruned
     cells, which replay must detect as incomplete and recompute.
     """
-    monkeypatch.setenv("REPRO_PLAN_INFLIGHT", "2")
     with runtime_options(executor="process", workers=2, checkpoint=tmp_path):
         first = run_experiment("fig6", preset=TINY, rng=0)
     assert_results_equal(fig6_serial, first, "checkpointed DAG run")
@@ -375,15 +346,6 @@ def test_plan_resources_propagate_factory_failures_to_every_waiter():
     # Later accessors see the same failure instead of a hang or rebuild.
     with pytest.raises(RuntimeError, match="substrate exploded"):
         resources["x"]
-
-
-def test_scheduler_knob_resolution(monkeypatch):
-    assert resolve_plan_scheduler("serial") == "serial"
-    assert resolve_plan_scheduler(None) == "dag"
-    monkeypatch.setenv("REPRO_PLAN_SCHEDULER", "serial")
-    assert resolve_plan_scheduler(None) == "serial"
-    with pytest.raises(EstimationError, match="unknown plan scheduler"):
-        resolve_plan_scheduler("threads")
 
 
 def test_describe_renders_the_dag():

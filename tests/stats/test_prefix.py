@@ -35,6 +35,8 @@ from repro.stats import (
     run_nrmse_sweep_from_samples,
 )
 
+from tests.oracles import reference_sweep, reference_sweep_from_samples
+
 LADDER = (37, 150, 600, 2000)
 
 
@@ -189,11 +191,9 @@ class TestSweepEquivalence:
         walks = [
             RandomWalkSampler(graph).sample(2000, rng=seed) for seed in range(5)
         ]
-        fast = run_nrmse_sweep_from_samples(
-            graph, partition, walks, LADDER, ladder="incremental"
-        )
-        reference = run_nrmse_sweep_from_samples(
-            graph, partition, walks, LADDER, ladder="subset"
+        fast = run_nrmse_sweep_from_samples(graph, partition, walks, LADDER)
+        reference = reference_sweep_from_samples(
+            graph, partition, walks, LADDER
         )
         for kind in ("induced", "star"):
             assert _eq(fast.size_nrmse[kind], reference.size_nrmse[kind])
@@ -213,15 +213,13 @@ class TestSweepEquivalence:
             replications=6,
             rng=0,
         )
-        reference = run_nrmse_sweep(
+        reference = reference_sweep(
             graph,
             partition,
-            lambda: RandomWalkSampler(graph),
+            RandomWalkSampler(graph),
             LADDER,
             replications=6,
             rng=0,
-            engine="sequential",
-            ladder="subset",
         )
         for kind in ("induced", "star"):
             assert _eq(fast.size_nrmse[kind], reference.size_nrmse[kind])
@@ -240,16 +238,3 @@ class TestSweepEquivalence:
         assert _eq(
             by_instance.size_nrmse["star"], by_factory.size_nrmse["star"]
         )
-
-    def test_unknown_engine_and_ladder_rejected(self, model):
-        graph, partition = model
-        with pytest.raises(EstimationError, match="engine"):
-            run_nrmse_sweep(
-                graph, partition, RandomWalkSampler(graph), (100,),
-                replications=2, engine="banana",
-            )
-        walks = [RandomWalkSampler(graph).sample(200, rng=0)]
-        with pytest.raises(EstimationError, match="ladder"):
-            run_nrmse_sweep_from_samples(
-                graph, partition, walks, (100,), ladder="banana"
-            )

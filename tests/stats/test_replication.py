@@ -8,7 +8,13 @@ import pytest
 from repro.exceptions import EstimationError
 from repro.generators import planted_category_graph
 from repro.graph import true_category_graph
-from repro.sampling import NodeSample, RandomWalkSampler, UniformIndependenceSampler
+from repro.runtime import ProcessSweepExecutor
+from repro.sampling import (
+    NodeSample,
+    RandomWalkSampler,
+    Sampler,
+    UniformIndependenceSampler,
+)
 from repro.stats import (
     percentile_edge,
     positive_weight_pairs,
@@ -155,3 +161,60 @@ class TestSweep:
                 (),
                 replications=2,
             )
+
+
+BAD_ARGUMENTS = {
+    "replications": {"replications": 0},
+    "plugin": {"weight_size_plugin": "banana"},
+    "mean-degree": {"mean_degree_model": "banana"},
+}
+
+
+@pytest.mark.parametrize("bad", sorted(BAD_ARGUMENTS))
+def test_bad_sweep_arguments_raise_before_any_draw(model, monkeypatch, bad):
+    """Both executors reject the same bad arguments with the same error
+    class, and neither draws a sample first."""
+    graph, partition = model
+    draws = []
+    monkeypatch.setattr(
+        Sampler, "sample_many", lambda *args, **kwargs: draws.append(args)
+    )
+    sampler = RandomWalkSampler(graph)
+    arguments = {"replications": 2, **BAD_ARGUMENTS[bad]}
+    for executor in ("serial", ProcessSweepExecutor(workers=1)):
+        with pytest.raises(EstimationError):
+            run_nrmse_sweep(
+                graph, partition, sampler, (100,), rng=0,
+                executor=executor, **arguments,
+            )
+    with pytest.raises(EstimationError):
+        ProcessSweepExecutor(workers=1).run(
+            graph, partition, sampler, np.array([100]), rng=0, **arguments
+        )
+    assert draws == []
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"samples": []},
+        {"weight_size_plugin": "banana"},
+        {"mean_degree_model": "banana"},
+        {"truth_mode": "banana"},
+    ],
+    ids=["empty", "plugin", "mean-degree", "truth-mode"],
+)
+def test_bad_predrawn_sweep_arguments_raise_on_both_executors(model, bad):
+    graph, partition = model
+    walks = [UniformIndependenceSampler(graph).sample(200, rng=0)]
+    arguments = {"samples": walks, **bad}
+    for executor in ("serial", ProcessSweepExecutor(workers=1)):
+        with pytest.raises(EstimationError):
+            run_nrmse_sweep_from_samples(
+                graph, partition, sample_sizes=(100,),
+                executor=executor, **arguments,
+            )
+    with pytest.raises(EstimationError):
+        ProcessSweepExecutor(workers=1).run_from_samples(
+            graph, partition, sizes=np.array([100]), **arguments
+        )
