@@ -61,8 +61,9 @@ choose — by construction rather than by tolerance:
    persistent worker running two cells' tasks in parallel threads
    preserves it because tasks share no mutable state.
 3. **Estimation rows share one code path.** Each replicate's rung rows
-   come from the same ``_rung_rows`` / prefix-ladder code the serial
-   sweep runs; rows are placed by (cell, absolute replicate index) and
+   come from one replicate-block runner (``executor._ShardBlock``,
+   which alone builds prefix ladders and calls ``_rung_rows``) whether
+   a pool worker, the in-process fallback or the serial sweep runs it; rows are placed by (cell, absolute replicate index) and
    every cell is reduced by the serial reducer (including the
    cross-sample pseudo-truth reduction of the paper's Section 7.2
    convention). No float is added in a different order, whichever
@@ -114,9 +115,10 @@ choose — by construction rather than by tolerance:
    ``--task-timeout`` (no timeout by default) and escalated through
    the same path. When workers cannot be (re)spawned at all, the
    runtime degrades — first to fewer workers (shards multiplex over
-   the survivors), ultimately to in-process serial execution — each
-   step with a single :class:`RuntimeWarning`, never a crash, and
-   never different bytes. Checkpoint payloads carry embedded checksums:
+   the survivors), ultimately to in-process serial execution (each
+   shard served synchronously on the driving thread by the same shard
+   code a worker runs) — each step with a single
+   :class:`RuntimeWarning`, never a crash, and never different bytes. Checkpoint payloads carry embedded checksums:
    a corrupt file is quarantined as ``*.corrupt`` and its rows
    recomputed instead of poisoning a resume. All of it is exercised
    deterministically by the fault-injection harness

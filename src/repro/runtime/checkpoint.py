@@ -63,13 +63,16 @@ import numpy as np
 
 from repro.log import get_logger
 from repro.runtime import faults, telemetry
+from repro.sampling.observation import InducedObservation, StarObservation
 
 __all__ = [
     "PlanCheckpoint",
     "SweepCheckpoint",
     "manifest_key",
+    "observation_fields",
     "read_rung",
     "read_truth",
+    "restore_observations",
 ]
 
 _LOG = get_logger(__name__)
@@ -84,24 +87,69 @@ CHECKPOINT_FORMAT = 3
 _ROW_FIELDS = ("sizes_induced", "sizes_star", "weights_induced", "weights_star")
 
 #: Per-replicate array fields of a serialized ``observe_both`` pair.
-#: The base fields are shared by both observation views (they are built
-#: from one draw compression); the star CSR and induced edges complete
-#: the pair. ``design``/``uniform`` ride along as 0-d arrays.
-OBSERVATION_FIELDS = (
+#: The shared fields are common to both observation views (they are
+#: built from one draw compression); the star CSR and induced edges
+#: complete the pair. ``design``/``uniform``/``num_draws`` ride along as
+#: 0-d arrays.
+_SHARED_FIELDS = (
     "draw_to_distinct",
     "distinct_nodes",
     "distinct_categories",
     "distinct_multiplicities",
     "distinct_weights",
-    "induced_edges",
+)
+_STAR_FIELDS = (
     "distinct_degrees",
     "neighbor_indptr",
     "neighbor_categories",
     "neighbor_counts",
-    "design",
-    "uniform",
-    "num_draws",
 )
+OBSERVATION_FIELDS = (
+    _SHARED_FIELDS
+    + ("induced_edges",)
+    + _STAR_FIELDS
+    + ("design", "uniform", "num_draws")
+)
+
+
+def observation_fields(
+    induced: InducedObservation, star: StarObservation
+) -> dict:
+    """The ``observations.npz`` field dict of one replicate's pair.
+
+    Inverse of :func:`restore_observations`.
+    """
+    fields = {
+        name: np.asarray(
+            getattr(induced if name == "induced_edges" else star, name)
+        )
+        for name in OBSERVATION_FIELDS
+    }
+    fields["num_draws"] = np.asarray(star.num_draws, dtype=np.int64)
+    return fields
+
+
+def restore_observations(
+    names: tuple, fields: dict
+) -> tuple[InducedObservation, StarObservation]:
+    """Rebuild one replicate's ``observe_both`` pair from stored fields.
+
+    Arrays round-trip through npz exactly, so the rebuilt pair is
+    field-for-field identical to the one ``observe_both`` computed —
+    which is what keeps resumed ladders bit-identical to fresh ones.
+    """
+    base = {
+        "names": names,
+        "num_draws": int(fields["num_draws"]),
+        "uniform": bool(fields["uniform"]),
+        "design": str(fields["design"]),
+        **{name: fields[name] for name in _SHARED_FIELDS},
+    }
+    induced = InducedObservation(induced_edges=fields["induced_edges"], **base)
+    star = StarObservation(
+        **{name: fields[name] for name in _STAR_FIELDS}, **base
+    )
+    return induced, star
 
 
 def manifest_key(manifest: dict) -> str:
@@ -249,7 +297,41 @@ def read_truth(directory: Path, names: tuple) -> "object | None":
         return None
 
 
-class SweepCheckpoint:
+class _KeyedDirectory:
+    """A checkpoint directory named by the key of its manifest.
+
+    Opens ``root / f"{_prefix}-{key}"``, clears it on a fresh run (and
+    on the impossible-in-practice stored-manifest mismatch of a key
+    collision), and atomically rewrites the manifest file. Subclasses
+    name the prefix and manifest file and say what clearing removes.
+    """
+
+    _prefix: str
+    _manifest_name: str
+
+    def __init__(self, root: "str | os.PathLike", manifest: dict, resume: bool):
+        self.manifest = dict(manifest, format=CHECKPOINT_FORMAT)
+        self.key = manifest_key(self.manifest)
+        self.directory = Path(root) / f"{self._prefix}-{self.key}"
+        self.directory.mkdir(parents=True, exist_ok=True)
+        manifest_path = self.directory / self._manifest_name
+        if not resume:
+            self._clear()
+        elif manifest_path.exists():
+            try:
+                stored = json.loads(manifest_path.read_text())
+            except (OSError, json.JSONDecodeError):
+                stored = None
+            if stored != self.manifest:  # pragma: no cover - key collision
+                self._clear()
+        payload = json.dumps(self.manifest, indent=2, sort_keys=True) + "\n"
+        _atomic_write(manifest_path, lambda h: h.write(payload.encode()))
+
+    def _clear(self) -> None:
+        raise NotImplementedError
+
+
+class SweepCheckpoint(_KeyedDirectory):
     """One sweep's checkpoint directory (see module docstring).
 
     Parameters
@@ -265,23 +347,8 @@ class SweepCheckpoint:
         When false, an existing matching directory is cleared first.
     """
 
-    def __init__(self, root: "str | os.PathLike", manifest: dict, resume: bool):
-        self.manifest = dict(manifest, format=CHECKPOINT_FORMAT)
-        self.key = manifest_key(self.manifest)
-        self.directory = Path(root) / f"sweep-{self.key}"
-        self.directory.mkdir(parents=True, exist_ok=True)
-        manifest_path = self.directory / "manifest.json"
-        if not resume:
-            self._clear()
-        elif manifest_path.exists():
-            try:
-                stored = json.loads(manifest_path.read_text())
-            except (OSError, json.JSONDecodeError):
-                stored = None
-            if stored != self.manifest:  # pragma: no cover - key collision
-                self._clear()
-        payload = json.dumps(self.manifest, indent=2, sort_keys=True) + "\n"
-        _atomic_write(manifest_path, lambda h: h.write(payload.encode()))
+    _prefix = "sweep"
+    _manifest_name = "manifest.json"
 
     def _clear(self) -> None:
         for pattern in ("*.npz", "*.tmp", "*.corrupt"):
@@ -393,14 +460,6 @@ class SweepCheckpoint:
         arrays = dict(zip(_ROW_FIELDS, rows), size=np.int64(size))
         _save_payload(self.rung_path(rung_index), arrays, kind="rung")
 
-    def completed_rungs(self, sizes) -> list[int]:
-        """Indices of rungs with a valid checkpoint file, given the ladder."""
-        return [
-            si
-            for si, size in enumerate(sizes)
-            if self.load_rung(si, int(size)) is not None
-        ]
-
 
 def _safe_cell_name(key: str) -> str:
     """Filesystem-safe directory name for a plan cell key.
@@ -415,7 +474,7 @@ def _safe_cell_name(key: str) -> str:
     return f"{safe}-{hashlib.sha256(key.encode()).hexdigest()[:6]}"
 
 
-class PlanCheckpoint:
+class PlanCheckpoint(_KeyedDirectory):
     """One experiment plan's checkpoint directory.
 
     The plan layer above :class:`SweepCheckpoint`: the directory name
@@ -441,30 +500,18 @@ class PlanCheckpoint:
     (cell *data* needs none — every cell owns a disjoint directory).
     """
 
+    _prefix = "plan"
+    _manifest_name = "plan.json"
+
     def __init__(self, root: "str | os.PathLike", manifest: dict, resume: bool):
-        self.manifest = dict(manifest, format=CHECKPOINT_FORMAT)
-        self.key = manifest_key(self.manifest)
+        super().__init__(root, manifest, resume)
         self._cells_lock = threading.Lock()
-        self.directory = Path(root) / f"plan-{self.key}"
-        self.directory.mkdir(parents=True, exist_ok=True)
-        manifest_path = self.directory / "plan.json"
-        if not resume:
-            self._clear()
-        elif manifest_path.exists():
-            try:
-                stored = json.loads(manifest_path.read_text())
-            except (OSError, json.JSONDecodeError):
-                stored = None
-            if stored != self.manifest:  # pragma: no cover - key collision
-                self._clear()
-        payload = json.dumps(self.manifest, indent=2, sort_keys=True) + "\n"
-        _atomic_write(manifest_path, lambda h: h.write(payload.encode()))
 
     def _clear(self) -> None:
         for stale in self.directory.iterdir():
             if stale.is_dir():
                 shutil.rmtree(stale)
-            elif stale.name != "plan.json":
+            elif stale.name != self._manifest_name:
                 stale.unlink()
 
     def cell_root(self, key: str) -> Path:

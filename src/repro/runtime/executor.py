@@ -6,11 +6,13 @@ replicates — reconstructing each RNG stream from its spawned seed and
 advancing the block through the batched frontier kernels
 (:mod:`repro.sampling.batch`), or slicing its block out of *pre-drawn*
 samples (simulated crawls) published through shared memory — and steps
-a per-replicate prefix ladder rung by rung under parent control. The
-parent assembles rows into the same ``(R, K, C[, C])`` stacks the
-serial path builds and reduces them with the identical code
-(:func:`repro.stats.replication._reduce_stacks`), which is why the
-output is bit-identical to the serial engine for any worker count, for
+the block's prefix ladders rung by rung under parent control. The
+block is a :class:`_ShardBlock`, the same runner the serial sweep uses
+one replicate at a time, so every path computes its rows with one piece
+of code. The parent assembles rows into the same ``(R, K, C[, C])``
+stacks the serial path builds and reduces them with the identical code
+(:class:`repro.stats.replication._Stacks`), which is why the output is
+bit-identical to the serial engine for any worker count, for
 fresh-draw (:meth:`ProcessSweepExecutor.run`) and pre-drawn
 (:meth:`ProcessSweepExecutor.run_from_samples`) sweeps alike.
 
@@ -42,12 +44,17 @@ Parent/worker protocol (one duplex pipe per worker)::
                                                       task; see
                                                       :mod:`repro.runtime.telemetry`)
 
-A dead or hung worker is *not* fatal: the drive loop runs every shard
-through a :class:`_FailoverDriver`, which re-dispatches a lost shard
-onto a replacement worker (same payload, same seeds — the determinism
-contract makes the replacement's rows byte-identical), bounded by
-``max_retries`` before a structured
-:class:`~repro.runtime.pool.WorkerFailure` surfaces.
+The worker side is :func:`_shard_replies`, a transport-free generator
+of these replies; :func:`serve_shard` loops it over a pool worker's
+connection, and :class:`_InProcessChannel` drives it synchronously in
+the parent. A dead or hung worker is *not* fatal: the drive loop runs
+every shard through a :class:`_FailoverDriver`, which re-dispatches a
+lost shard onto a replacement worker (same payload, same seeds — the
+determinism contract makes the replacement's rows byte-identical),
+bounded by ``max_retries`` before a structured
+:class:`~repro.runtime.pool.WorkerFailure` surfaces. When no worker can
+be spawned at all, every shard is served by the in-process channel on
+the driving thread — no thread, no queue, the same bytes.
 
 Rung-by-rung control is what makes checkpoint/resume work: after every
 gathered rung the parent persists that rung's rows, so a later run with
@@ -65,9 +72,7 @@ import hashlib
 import json
 import os
 import pickle
-import queue
 import signal
-import threading
 import traceback
 import warnings
 from io import BytesIO
@@ -83,7 +88,13 @@ from repro.graph.union import UnionCSR
 from repro.log import get_logger
 from repro.rng import ensure_rng, spawn_seeds
 from repro.runtime import faults, sharedmem, telemetry
-from repro.runtime.checkpoint import SweepCheckpoint, read_rung, read_truth
+from repro.runtime.checkpoint import (
+    SweepCheckpoint,
+    observation_fields,
+    read_rung,
+    read_truth,
+    restore_observations,
+)
 from repro.runtime.config import DEFAULT_MAX_RETRIES, active_options
 from repro.runtime.pool import (
     WorkerDied,
@@ -97,14 +108,12 @@ from repro.runtime.pool import (
 )
 from repro.sampling.base import NodeSample, Sampler
 from repro.sampling.batch import sample_streams
-from repro.sampling.observation import InducedObservation, StarObservation
 from repro.stats.prefix import IncrementalPrefixLadder
 from repro.stats.replication import (
-    KINDS,
     SweepResult,
     _check_sweep_arguments,
-    _reduce_stacks,
     _rung_rows,
+    _Stacks,
 )
 
 __all__ = ["ProcessSweepExecutor", "replay_sweep", "serve_shard"]
@@ -155,77 +164,86 @@ def _sampler_fingerprint(sampler: Sampler) -> str:
 
 
 # ----------------------------------------------------------------------
-# Observation round trips (checkpointed ladder state)
+# The replicate block and the shard side of the protocol
 # ----------------------------------------------------------------------
-def _observation_fields(
-    induced: InducedObservation, star: StarObservation
-) -> dict:
-    """The npz-serializable field dict of one replicate's observations.
+class _ShardBlock:
+    """One block of replicates' prefix ladders, independent of transport.
 
-    Inverse of :func:`_observations_restore`; the field list is pinned
-    by :data:`repro.runtime.checkpoint.OBSERVATION_FIELDS`.
+    The one place a sweep builds
+    :class:`~repro.stats.prefix.IncrementalPrefixLadder` instances and
+    turns their rungs into stack rows
+    (:func:`~repro.stats.replication._rung_rows`): a shard task serves
+    its block through :func:`_shard_replies` (on a pool worker or, when
+    no worker can be had, in the parent), and the serial sweep runs one
+    one-replicate block at a time. Given ``observations`` (the
+    ``observations.npz`` field dicts of a checkpoint) the ladders are
+    seeded from them and ``samples`` is ignored.
     """
-    return {
-        "draw_to_distinct": star.draw_to_distinct,
-        "distinct_nodes": star.distinct_nodes,
-        "distinct_categories": star.distinct_categories,
-        "distinct_multiplicities": star.distinct_multiplicities,
-        "distinct_weights": star.distinct_weights,
-        "induced_edges": induced.induced_edges,
-        "distinct_degrees": star.distinct_degrees,
-        "neighbor_indptr": star.neighbor_indptr,
-        "neighbor_categories": star.neighbor_categories,
-        "neighbor_counts": star.neighbor_counts,
-        "design": np.asarray(star.design),
-        "uniform": np.asarray(star.uniform),
-        "num_draws": np.asarray(star.num_draws, dtype=np.int64),
-    }
+
+    def __init__(
+        self,
+        graph,
+        partition,
+        samples,
+        observations=None,
+        *,
+        weight_size_plugin: str,
+        mean_degree_model: str,
+        truth_sizes,
+    ):
+        if observations is None:
+            sources = [(sample, None) for sample in samples]
+        else:
+            names = tuple(partition.names)
+            sources = [
+                (None, restore_observations(names, fields))
+                for fields in observations
+            ]
+        self._ladders = [
+            IncrementalPrefixLadder(graph, partition, sample, observations=pair)
+            for sample, pair in sources
+        ]
+        self._n_pop = graph.num_nodes
+        self._plugin = weight_size_plugin
+        self._mean_degree_model = mean_degree_model
+        self._truth_sizes = truth_sizes
+
+    def observation_fields(self) -> list[dict]:
+        """Each replicate's ``observations.npz`` fields, in block order."""
+        return [
+            observation_fields(*ladder.observations) for ladder in self._ladders
+        ]
+
+    def fold(self, size: int) -> None:
+        """Advance every ladder past rung ``size`` without estimating."""
+        for ladder in self._ladders:
+            ladder.fold(size)
+
+    def rows(self, size: int) -> list[tuple[np.ndarray, ...]]:
+        """Rung ``size``'s four stack rows of each replicate, in order."""
+        return [
+            _rung_rows(
+                ladder.estimates(
+                    size, self._n_pop, mean_degree_model=self._mean_degree_model
+                ),
+                self._plugin,
+                self._truth_sizes,
+            )
+            for ladder in self._ladders
+        ]
 
 
-def _observations_restore(
-    names: tuple, fields: dict
-) -> tuple[InducedObservation, StarObservation]:
-    """Rebuild one replicate's ``observe_both`` pair from stored fields.
+def _shard_replies(payload: bytes, cfg: dict):
+    """The shard side of the protocol, without a transport.
 
-    Arrays round-trip through npz exactly, so the rebuilt pair is
-    field-for-field identical to the one ``observe_both`` computed —
-    which is what keeps resumed ladders bit-identical to fresh ones.
-    """
-    base = {
-        "names": names,
-        "num_draws": int(fields["num_draws"]),
-        "draw_to_distinct": fields["draw_to_distinct"],
-        "distinct_nodes": fields["distinct_nodes"],
-        "distinct_categories": fields["distinct_categories"],
-        "distinct_multiplicities": fields["distinct_multiplicities"],
-        "distinct_weights": fields["distinct_weights"],
-        "uniform": bool(fields["uniform"]),
-        "design": str(fields["design"]),
-    }
-    induced = InducedObservation(induced_edges=fields["induced_edges"], **base)
-    star = StarObservation(
-        distinct_degrees=fields["distinct_degrees"],
-        neighbor_indptr=fields["neighbor_indptr"],
-        neighbor_categories=fields["neighbor_categories"],
-        neighbor_counts=fields["neighbor_counts"],
-        **base,
-    )
-    return induced, star
-
-
-# ----------------------------------------------------------------------
-# Worker side
-# ----------------------------------------------------------------------
-def serve_shard(payload: bytes, cfg: dict, recv, send) -> None:
-    """Serve one shard task: obtain the owned replicates, then answer
-    rung commands until told to stop.
-
-    The transport is injected — ``recv()`` returns the next parent
-    command tuple, ``send(*parts)`` replies — because the shard no
-    longer owns a process: it runs as one task thread of a persistent
-    pool worker (:mod:`repro.runtime.pool`), which multiplexes several
-    tasks (cells) over one connection. Exceptions propagate to the
-    caller, which reports them under this task's id.
+    A generator: the first ``next`` obtains the block's replicates and
+    yields the ``sampled`` reply, the second builds the block and
+    yields ``observed``; after that each parent command goes in through
+    ``send`` and its reply comes out. The driver simply stops on
+    ``("stop",)``. The replicates come from one precedence: restored
+    observations, else shipped samples (pre-drawn crawls, or the
+    ``samples.npz`` of a resumed fresh sweep), else a fresh draw from
+    the shard's seeds.
 
     When the parent enabled telemetry for the task (``cfg["telemetry"]``)
     the shard records sample/observe/rung spans into a task-local
@@ -235,107 +253,56 @@ def serve_shard(payload: bytes, cfg: dict, recv, send) -> None:
     fork-inherited parent recorders cannot cross-contaminate.
     """
     collector, ship = telemetry.worker_collector(cfg.get("telemetry"))
-    task_label = cfg.get("label") or cfg.get("mode", "shard")
-    shard_ids = [int(i) for i in (cfg.get("shard") or ())]
+    task_label = cfg.get("label", "shard")
+    shard_ids = cfg["shard"]
     task_start = telemetry.now_us() if collector is not None else 0
-    if collector is not None and shard_ids:
-        collector.name_thread(
-            f"shard r{shard_ids[0]}-r{shard_ids[-1]}"
-        )
+    if ship and shard_ids:
+        collector.name_thread(f"shard r{shard_ids[0]}-r{shard_ids[-1]}")
+    directives = {tuple(d) for d in cfg.get("faults") or ()}
     world = sharedmem.loads(payload)
-    graph, partition = world["graph"], world["partition"]
-    if cfg["mode"] == "predrawn":
-        if world["samples"] is not None:
-            samples = world["samples"]
-        else:
-            # Observation-seeded resume: the restored pairs carry
-            # everything the ladders need, samples were not shipped.
-            samples = [None] * len(cfg["shard"])
-        send("sampled", None, None)
-    elif cfg["samples"] is not None:
-        sampler = world["sampler"]
-        nodes, weights = cfg["samples"]
-        samples = [
-            NodeSample(
-                nodes[i],
-                weights[i],
-                design=sampler.design,
-                uniform=sampler.uniform,
-            )
-            for i in range(len(cfg["seeds"]))
-        ]
-        send("sampled", None, None)
-    elif world.get("observations") is not None:
-        # Checkpoint-restored observations carry everything the
-        # ladders need; re-walking the replicates would be wasted.
-        samples = [None] * len(cfg["shard"])
-        send("sampled", None, None)
-    else:
-        sampler = world["sampler"]
+    restored, samples = world["observations"], world["samples"]
+    drawn = (None, None)
+    if restored is None and samples is None:
         streams = [np.random.default_rng(seed) for seed in cfg["seeds"]]
         with telemetry.span_in(
             collector, "sample", cat="worker",
             task=task_label, replicates=len(shard_ids), n=cfg["n"],
         ):
-            batch = sample_streams(sampler, cfg["n"], streams)
+            batch = sample_streams(world["sampler"], cfg["n"], streams)
             samples = batch.replicates()
-        if ("kill", "sample") in {
-            tuple(d) for d in (cfg.get("faults") or ())
-        }:
+        if ("kill", "sample") in directives:
             # Injected mid-sample death: SIGKILL after the kernel drew
             # the replicates but before the reply, so the parent sees
             # the sample phase unanswered, the work is lost, and the
             # replacement task must redraw from the original seeds.
             os.kill(os.getpid(), signal.SIGKILL)
         if cfg["want_samples"]:
-            send("sampled", batch.nodes, batch.weights)
-        else:
-            send("sampled", None, None)
-    restored = world.get("observations")
-    names = tuple(partition.names)
+            drawn = (batch.nodes, batch.weights)
+    yield ("sampled", *drawn)
     with telemetry.span_in(
         collector, "observe", cat="worker",
-        task=task_label, replicates=len(samples),
+        task=task_label, replicates=len(shard_ids),
         restored=restored is not None,
     ):
-        ladders = [
-            IncrementalPrefixLadder(
-                graph,
-                partition,
-                sample,
-                observations=(
-                    None
-                    if restored is None
-                    else _observations_restore(names, restored[local])
-                ),
-            )
-            for local, sample in enumerate(samples)
-        ]
-    if cfg["want_observations"]:
-        send(
-            "observed",
-            [_observation_fields(*ladder.observations) for ladder in ladders],
+        block = _ShardBlock(
+            world["graph"],
+            world["partition"],
+            samples,
+            restored,
+            weight_size_plugin=cfg["weight_size_plugin"],
+            mean_degree_model=cfg["mean_degree_model"],
+            truth_sizes=cfg["truth_sizes"],
         )
-    else:
-        send("observed", None)
-    truth_sizes = cfg["truth_sizes"]
-    plugin = cfg["weight_size_plugin"]
-    n_pop = cfg["n_pop"]
-    mean_degree_model = cfg["mean_degree_model"]
-    kill_rungs = {
-        directive[1]
-        for directive in map(tuple, cfg.get("faults") or ())
-        if directive and directive[0] == "kill"
-    }
+    command = yield (
+        "observed",
+        block.observation_fields() if cfg["want_observations"] else None,
+    )
+    kill_rungs = {d[1] for d in directives if d and d[0] == "kill"}
     while True:
-        message = recv()
-        command = message[0]
-        if command == "stop":
-            break
-        si, size = message[1], message[2]
-        if command == "telemetry":
+        kind, si, size = command
+        if kind == "telemetry":
             # Flush request: close the task span, ship what this task
-            # recorded (None under the in-process channel, where the
+            # recorded (None in the parent's process, where the
             # collector IS the ambient recorder and nothing crosses a
             # process boundary).
             if collector is not None:
@@ -344,45 +311,51 @@ def serve_shard(payload: bytes, cfg: dict, recv, send) -> None:
                     task_start, telemetry.now_us() - task_start,
                     {"replicates": len(shard_ids)},
                 )
-            send("telemetry", si, collector.drain() if ship else None)
-            continue
-        if command == "rung" and si in kill_rungs:
-            # Injected mid-rung death: SIGKILL before computing a row,
-            # so the parent observes exactly what a segfault/OOM-kill
-            # looks like — a clean EOF with the rung unanswered.
-            os.kill(os.getpid(), signal.SIGKILL)
-        if command == "skip":
-            with telemetry.span_in(
-                collector, "skip", cat="worker",
-                task=task_label, rung=si, size=size,
-            ):
-                for ladder in ladders:
-                    ladder.fold(size)
-            send("skipped", si)
-        elif command == "rung":
+            reply = ("telemetry", si, collector.drain() if ship else None)
+        elif kind == "rung":
+            if si in kill_rungs:
+                # Injected mid-rung death: SIGKILL before computing a
+                # row, so the parent observes exactly what a
+                # segfault/OOM-kill looks like — a clean EOF with the
+                # rung unanswered.
+                os.kill(os.getpid(), signal.SIGKILL)
             with telemetry.span_in(
                 collector, "rung", cat="worker",
                 task=task_label, rung=si, size=size,
             ):
-                rows = [
-                    _rung_rows(
-                        ladder.estimates(
-                            size, n_pop, mean_degree_model=mean_degree_model
-                        ),
-                        plugin,
-                        truth_sizes,
-                    )
-                    for ladder in ladders
-                ]
-            send(
-                "rows",
-                si,
-                tuple(
-                    np.stack([r[field] for r in rows]) for field in range(4)
-                ),
-            )
+                rows = block.rows(size)
+                reply = (
+                    "rows",
+                    si,
+                    tuple(np.stack([r[f] for r in rows]) for f in range(4)),
+                )
+        elif kind == "skip":
+            with telemetry.span_in(
+                collector, "skip", cat="worker",
+                task=task_label, rung=si, size=size,
+            ):
+                block.fold(size)
+            reply = ("skipped", si)
         else:  # pragma: no cover - protocol misuse
-            raise RuntimeError(f"unknown executor command {command!r}")
+            raise RuntimeError(f"unknown executor command {kind!r}")
+        command = yield reply
+
+
+def serve_shard(payload: bytes, cfg: dict, recv, send) -> None:
+    """Serve one shard task: the pool worker's loop over the protocol.
+
+    The transport is injected — ``recv()`` returns the next parent
+    command tuple, ``send(*parts)`` replies — because the shard does
+    not own a process: it runs as one task thread of a persistent pool
+    worker (:mod:`repro.runtime.pool`), which multiplexes several tasks
+    (cells) over one connection. Exceptions propagate to the caller,
+    which reports them under this task's id.
+    """
+    replies = _shard_replies(payload, cfg)
+    send(*next(replies))  # sampled
+    send(*next(replies))  # observed
+    while (command := recv())[0] != "stop":
+        send(*replies.send(command))
 
 
 # ----------------------------------------------------------------------
@@ -425,38 +398,33 @@ def replay_sweep(cell_root: "str | os.PathLike", sweep_key: str) -> "SweepResult
     truth = read_truth(directory, tuple(categories))
     if truth is None:
         return None
-    r, c = replications, len(categories)
-    size_stacks = {kind: np.full((r, len(sizes), c), np.nan) for kind in KINDS}
-    weight_stacks = {
-        kind: np.full((r, len(sizes), c, c), np.nan) for kind in KINDS
-    }
+    stacks = _Stacks(replications, len(sizes), len(categories))
     for si, size in enumerate(sizes):
         rows = read_rung(directory / f"rung_{si:03d}.npz", int(size))
-        if rows is None or rows[0].shape != (r, c):
+        if rows is None or rows[0].shape != (replications, len(categories)):
             return None
-        ProcessSweepExecutor._fill(size_stacks, weight_stacks, si, rows)
-    return _reduce_stacks(
-        sizes,
-        size_stacks,
-        weight_stacks,
-        truth,
-        str(manifest.get("truth_mode", "exact")),
-    )
+        stacks.fill(si, rows)
+    return stacks.reduce(sizes, truth, str(manifest.get("truth_mode", "exact")))
 
 
 # ----------------------------------------------------------------------
 # Failover machinery
 # ----------------------------------------------------------------------
 class _InProcessChannel:
-    """Last-rung degradation: serve a shard on a thread of the parent.
+    """Last-rung degradation: serve a shard synchronously in the parent.
 
     Presents the :class:`~repro.runtime.pool.TaskChannel` surface
-    (``send``/``recv``/``close``/``condemn``/``process``) over a pair of
-    queues feeding :func:`serve_shard` in a daemon thread, so the drive
-    loop is transport-blind. Used when the pool cannot supply a single
-    worker (fork unavailable, respawns exhausted): slower, but the
-    sweep completes with identical bytes — the shard computes the same
-    rows from the same seeds wherever it runs. Fault directives and
+    (``send``/``recv``/``close``/``condemn``/``process``) over
+    :func:`_shard_replies` driven on the caller's thread — no thread,
+    no queues — so the drive loop is transport-blind. Used when the
+    pool cannot supply a single worker (fork unavailable, respawns
+    exhausted): slower, but the sweep completes with identical bytes —
+    the shard computes the same rows from the same seeds wherever it
+    runs. Each reply is computed when the driver asks for it (sampling
+    on ``recv("sampled")``, the ladder build on ``recv("observed")``,
+    a rung on its ``send``), so the driver's phase spans time the same
+    work they time with workers; a task exception becomes the same
+    ``("error", traceback)`` reply a worker sends. Fault directives and
     heartbeats are stripped from the cfg: there is no process to kill
     or time out, and an injected kill executed in-process would take
     the parent down with it.
@@ -470,25 +438,19 @@ class _InProcessChannel:
             for key, value in cfg.items()
             if key not in ("faults", "heartbeat")
         }
-        self._commands: queue.SimpleQueue = queue.SimpleQueue()
-        self._replies: queue.SimpleQueue = queue.SimpleQueue()
-        self._closed = False
-        self._thread = threading.Thread(
-            target=self._serve, args=(payload, cfg), daemon=True
-        )
-        self._thread.start()
+        self._replies = _shard_replies(payload, cfg)
+        self._reply = None
 
-    def _serve(self, payload, cfg) -> None:
+    def _advance(self, command=None) -> tuple:
         try:
-            serve_shard(payload, cfg, self._commands.get, self._reply)
-        except BaseException:
-            self._replies.put(("error", traceback.format_exc()))
-
-    def _reply(self, *parts) -> None:
-        self._replies.put(parts)
+            if command is None:
+                return next(self._replies)
+            return self._replies.send(command)
+        except Exception:
+            return ("error", traceback.format_exc())
 
     def send(self, kind: str, *parts) -> None:
-        self._commands.put((kind,) + parts)
+        self._reply = self._advance((kind,) + parts)
 
     def recv(
         self,
@@ -497,18 +459,16 @@ class _InProcessChannel:
         timeout: "float | None" = None,
     ):
         # No timeout: an in-process shard cannot hang without the
-        # parent being equally hung (they share the interpreter).
-        return parse_reply(self._replies.get(), expected, rung_index)
+        # parent being equally hung (they share the thread).
+        reply = self._reply if self._reply is not None else self._advance()
+        self._reply = None
+        return parse_reply(reply, expected, rung_index)
 
     def condemn(self) -> None:  # pragma: no cover - never hung
         pass
 
     def close(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
-        self._commands.put(("stop",))
-        self._thread.join(timeout=30)
+        self._replies.close()
 
 
 #: "No phase reply stored yet" marker (``None`` is a legitimate value:
@@ -573,7 +533,8 @@ class _FailoverDriver:
 
     Degradation is monotonic and warned once per step: full worker
     count -> fewer workers (shards multiplex over the survivors) ->
-    zero workers (every shard served by an in-process thread).
+    zero workers (every shard served in the parent, on the driving
+    thread, by :class:`_InProcessChannel`).
     """
 
     def __init__(self, pool, num_workers, max_retries, task_timeout):
@@ -784,13 +745,12 @@ class _FailoverDriver:
 class ProcessSweepExecutor:
     """Shared-memory multi-process sweep executor.
 
-    Sweeps run on a **persistent** worker pool
-    (:mod:`repro.runtime.pool`): by default the process-wide pool, so
-    back-to-back sweeps — the cells of one plan, or repeated
-    ``repro run --workers N`` sweeps in a session — reuse live workers
-    instead of paying spawn cost per sweep. The DAG plan scheduler
-    passes an explicit ``pool`` and runs several cells' shard tasks on
-    it concurrently.
+    Sweeps run on the process-wide **persistent** worker pool
+    (:func:`repro.runtime.pool.default_pool`), so back-to-back sweeps —
+    the cells of one plan, or repeated ``repro run --workers N`` sweeps
+    in a session — reuse live workers instead of paying spawn cost per
+    sweep; the DAG plan scheduler runs several cells' shard tasks on it
+    concurrently.
 
     Parameters
     ----------
@@ -806,14 +766,6 @@ class ProcessSweepExecutor:
     resume:
         Continue a matching checkpoint (skip its sampling phase and
         completed rungs) instead of clearing it.
-    mp_context:
-        A ``multiprocessing`` context; defaults to ``fork`` where
-        available (workers then inherit the parent's imports) and
-        ``spawn`` elsewhere. Selects which default pool serves the
-        sweep when no explicit ``pool`` is given.
-    pool:
-        A :class:`~repro.runtime.pool.PersistentWorkerPool` to run on;
-        ``None`` uses the process-wide default pool for ``mp_context``.
     max_retries:
         Failed attempts tolerated per shard beyond the first before a
         structured :class:`~repro.runtime.pool.WorkerFailure` surfaces.
@@ -850,8 +802,6 @@ class ProcessSweepExecutor:
         workers: int | None = None,
         checkpoint: "str | os.PathLike | None" = None,
         resume: bool = False,
-        mp_context=None,
-        pool=None,
         max_retries: int | None = None,
         task_timeout: float | None = None,
         label: str | None = None,
@@ -862,8 +812,6 @@ class ProcessSweepExecutor:
         self.checkpoint_root = None if checkpoint is None else Path(checkpoint)
         self.resume = bool(resume)
         self.label = label
-        self._mp_context = mp_context
-        self._pool = pool
         self.last_checkpoint = None
         self.failover_log: list[dict] = []
         ambient = active_options()
@@ -901,76 +849,23 @@ class ProcessSweepExecutor:
         _check_sweep_arguments(
             replications, weight_size_plugin, mean_degree_model
         )
-        sizes = np.asarray(sizes, dtype=np.int64)
-        n = int(sizes[-1])
         seeds = spawn_seeds(ensure_rng(rng), replications)
-        truth = true_category_graph(graph, partition)
-        checkpoint = self._open_checkpoint(
-            graph, partition, sampler, sizes, replications, seeds,
-            weight_size_plugin, mean_degree_model,
-        )
-        self.last_checkpoint = checkpoint
-        if checkpoint is not None:
-            checkpoint.save_truth(truth)
-        cached_rungs = self._load_cached_rungs(checkpoint, sizes)
-        fully_cached = len(cached_rungs) == len(sizes)
-        # Resume restores the cheapest sufficient state: a
-        # fully-checkpointed sweep replays from its rung files alone
-        # (_drive early-returns before spawning workers); restored
-        # observations seed the ladders directly, making the draw
-        # matrices redundant (workers then skip sampling outright); the
-        # samples are decompressed only as the fallback when the
-        # observations are absent, and then the workers rebuild — and
-        # re-persist — the observation state from them.
-        observations = (
-            checkpoint.load_observations(replications)
-            if checkpoint is not None and self.resume and not fully_cached
-            else None
-        )
-        saved = (
-            checkpoint.load_samples()
-            if checkpoint
-            and self.resume
-            and not fully_cached
-            and observations is None
-            else None
-        )
-        if saved is not None and saved[0].shape != (replications, n):
-            saved = None
-
-        persist_samples = (
-            checkpoint is not None and saved is None and observations is None
-        )
-
-        def make_cfg(shard):
-            return {
-                "mode": "fresh",
-                "shard": [int(i) for i in shard],
-                "seeds": [seeds[i] for i in shard],
-                "n": n,
-                "want_samples": persist_samples,
-                "samples": (
-                    None
-                    if saved is None
-                    else (saved[0][shard], saved[1][shard])
-                ),
-            }
-
-        return self._drive(
+        return self._sweep(
             graph,
             partition,
             sizes,
             replications,
-            truth,
             "exact",
             weight_size_plugin,
             mean_degree_model,
-            checkpoint,
-            observations,
-            cached_rungs,
-            make_payload=lambda shard: {"sampler": sampler},
-            make_cfg=make_cfg,
-            persist_samples=persist_samples,
+            manifest=lambda: {
+                "mode": "fresh",
+                "design": sampler.design,
+                "seeds": seeds,
+                "sampler": _sampler_fingerprint(sampler),
+            },
+            sampler=sampler,
+            seeds=seeds,
         )
 
     # ------------------------------------------------------------------
@@ -996,106 +891,170 @@ class ProcessSweepExecutor:
         bit-identical to the serial path for any worker count.
         """
         samples = list(samples)
-        replications = len(samples)
         _check_sweep_arguments(
-            replications, weight_size_plugin, mean_degree_model, truth_mode
+            len(samples), weight_size_plugin, mean_degree_model, truth_mode
         )
-        sizes = np.asarray(sizes, dtype=np.int64)
-        truth = true_category_graph(graph, partition)
-        checkpoint = self._open_predrawn_checkpoint(
-            graph, partition, samples, sizes,
-            weight_size_plugin, mean_degree_model, truth_mode,
-        )
-        self.last_checkpoint = checkpoint
-        if checkpoint is not None:
-            checkpoint.save_truth(truth)
-        cached_rungs = self._load_cached_rungs(checkpoint, sizes)
-        observations = (
-            checkpoint.load_observations(replications)
-            if checkpoint is not None
-            and self.resume
-            and len(cached_rungs) < len(sizes)
-            else None
-        )
-
-        def make_cfg(shard):
-            return {
-                "mode": "predrawn",
-                "shard": [int(i) for i in shard],
-            }
-
-        def make_payload(shard):
-            # Observation-seeded resume: the ladders never touch the
-            # samples, so skip shipping them entirely.
-            if observations is not None:
-                return {"samples": None}
-            return {"samples": [samples[i] for i in shard]}
-
-        return self._drive(
+        return self._sweep(
             graph,
             partition,
             sizes,
-            replications,
-            truth,
+            len(samples),
             truth_mode,
             weight_size_plugin,
             mean_degree_model,
-            checkpoint,
-            observations,
-            cached_rungs,
-            make_payload=make_payload,
-            make_cfg=make_cfg,
-            persist_samples=False,
+            manifest=lambda: {
+                "mode": "predrawn",
+                "truth_mode": truth_mode,
+                # Content fingerprints of every replicate crawl: a plan
+                # resumed against regenerated-but-identical walks
+                # matches, while any drift in a single draw changes the
+                # key.
+                "samples": [
+                    [_array_digest(s.nodes, s.weights), s.design, bool(s.uniform)]
+                    for s in samples
+                ],
+            },
+            samples=samples,
         )
 
     # ------------------------------------------------------------------
-    def _drive(
+    def _sweep(
         self,
         graph,
         partition,
-        sizes: np.ndarray,
+        sizes,
         replications: int,
-        truth,
         truth_mode: str,
         weight_size_plugin: str,
         mean_degree_model: str,
-        checkpoint: "SweepCheckpoint | None",
-        observations: "list[dict] | None",
-        cached_rungs: dict,
         *,
-        make_payload,
-        make_cfg,
-        persist_samples: bool,
+        manifest,
+        sampler: "Sampler | None" = None,
+        seeds=None,
+        samples=None,
     ) -> SweepResult:
-        """Spawn shard workers and drive the rung loop (both modes)."""
+        """The setup both entry points share, then the rung loop.
+
+        ``manifest()`` returns the entry point's own manifest keys (only
+        called with a checkpoint root: fingerprinting a sampler pickles
+        it). Resume restores the cheapest sufficient state: a fully
+        rung-cached sweep replays from its rung files alone (no
+        workers); restored observations seed the ladders directly,
+        making samples redundant; the saved ``samples.npz`` of a fresh
+        sweep is decompressed only when the observations are absent,
+        and the workers then rebuild — and re-persist — the observation
+        state from it.
+        """
         # Reset per run: a fully-cached replay below never constructs a
         # driver, and without this a previous run's recovery log would
         # survive on the instance as stale diagnostics.
         self.failover_log = []
-        sweep_label = self.label or "sweep"
-        r, k, c = replications, len(sizes), partition.num_categories
-        size_stacks = {kind: np.full((r, k, c), np.nan) for kind in KINDS}
-        weight_stacks = {kind: np.full((r, k, c, c), np.nan) for kind in KINDS}
-        if len(cached_rungs) == len(sizes):
+        sizes = np.asarray(sizes, dtype=np.int64)
+        truth = true_category_graph(graph, partition)
+        checkpoint = None
+        if self.checkpoint_root is not None:
+            checkpoint = SweepCheckpoint(
+                self.checkpoint_root,
+                {
+                    "replications": int(replications),
+                    "sizes": [int(s) for s in sizes],
+                    "weight_size_plugin": weight_size_plugin,
+                    "mean_degree_model": mean_degree_model,
+                    "graph": _array_digest(graph.indptr, graph.indices),
+                    "partition": _array_digest(partition.labels),
+                    "categories": list(partition.names),
+                    **manifest(),
+                },
+                self.resume,
+            )
+            checkpoint.save_truth(truth)
+        self.last_checkpoint = checkpoint
+        resuming = checkpoint is not None and self.resume
+        # Every completed rung's rows, loaded once up front: the rung
+        # loop replays from this dict instead of re-reading the files.
+        cached = {
+            si: rows
+            for si, size in enumerate(sizes)
+            if resuming
+            and (rows := checkpoint.load_rung(si, int(size))) is not None
+        }
+        stacks = _Stacks(replications, len(sizes), partition.num_categories)
+        if len(cached) == len(sizes):
             # Every rung is already checkpointed: assemble the result
             # straight from disk — no workers, no resampling, no ladder
             # rebuilds (a finished sweep re-resumed is a pure replay).
             telemetry.counter("checkpoint.sweep_cache_hits", 1)
             with telemetry.span(
-                "sweep.replay", cat="driver", task=sweep_label, rungs=k
+                "sweep.replay", cat="driver",
+                task=self.label or "sweep", rungs=len(sizes),
             ):
-                for si in range(len(sizes)):
-                    self._fill(
-                        size_stacks, weight_stacks, si, cached_rungs[si]
+                for si, rows in cached.items():
+                    stacks.fill(si, rows)
+                return stacks.reduce(sizes, truth, truth_mode)
+        observations = (
+            checkpoint.load_observations(replications) if resuming else None
+        )
+        if observations is not None:
+            samples = None
+        elif samples is None and resuming:
+            saved = checkpoint.load_samples()
+            if saved is not None and saved[0].shape == (
+                replications, int(sizes[-1])
+            ):
+                samples = [
+                    NodeSample(
+                        nodes,
+                        weights,
+                        design=sampler.design,
+                        uniform=sampler.uniform,
                     )
-                return _reduce_stacks(
-                    sizes, size_stacks, weight_stacks, truth, truth_mode
-                )
+                    for nodes, weights in zip(*saved)
+                ]
+        drawing = samples is None and observations is None
+        self._drive(
+            {
+                "graph": graph,
+                "partition": partition,
+                "sampler": sampler if drawing else None,
+                "samples": samples,
+                "observations": observations,
+            },
+            {
+                "n": int(sizes[-1]),
+                "want_samples": checkpoint is not None and drawing,
+                "want_observations": (
+                    checkpoint is not None and observations is None
+                ),
+                "weight_size_plugin": weight_size_plugin,
+                "mean_degree_model": mean_degree_model,
+                "truth_sizes": truth.sizes,
+            },
+            seeds if drawing else None,
+            sizes,
+            stacks,
+            checkpoint,
+            cached,
+        )
+        return stacks.reduce(sizes, truth, truth_mode)
 
+    # ------------------------------------------------------------------
+    def _drive(
+        self,
+        world: dict,
+        base_cfg: dict,
+        seeds,
+        sizes: np.ndarray,
+        stacks: _Stacks,
+        checkpoint: "SweepCheckpoint | None",
+        cached: dict,
+    ) -> None:
+        """Open one shard task per replicate block and drive the rung
+        loop, filling ``stacks`` rung by rung."""
+        sweep_label = self.label or "sweep"
+        replications = stacks.replications
         num_workers = min(self.workers, replications)
         shards = np.array_split(np.arange(replications), num_workers)
-        want_observations = checkpoint is not None and observations is None
-        worker_pool = self._pool or default_pool(self._mp_context)
+        worker_pool = default_pool()
 
         # Inside a plan run the ambient pool already holds the plan's
         # named resources (pre-published once per build by run_plan), so
@@ -1127,31 +1086,31 @@ class ProcessSweepExecutor:
                     shards=num_workers, replications=replications,
                 ):
                     for slot, shard in enumerate(shards):
-                        # One payload per shard, sliced to what that worker
-                        # reads; large arrays still publish exactly once
-                        # (the pool deduplicates by identity across shards,
-                        # and the ambient pool across a plan's cells).
+                        # One payload per shard, sliced to the replicates
+                        # that worker reads; large arrays still publish
+                        # exactly once (the pool deduplicates by identity
+                        # across shards, and the ambient pool across a
+                        # plan's cells).
                         payload = sharedmem.dumps(
-                            {
-                                "graph": graph,
-                                "partition": partition,
-                                "observations": (
-                                    None
-                                    if observations is None
-                                    else [observations[i] for i in shard]
-                                ),
-                                **make_payload(shard),
-                            },
+                            dict(
+                                world,
+                                **{
+                                    key: [world[key][i] for i in shard]
+                                    for key in ("samples", "observations")
+                                    if world[key] is not None
+                                },
+                            ),
                             publish_pool,
                         )
-                        cfg = {
-                            "n_pop": graph.num_nodes,
-                            "weight_size_plugin": weight_size_plugin,
-                            "mean_degree_model": mean_degree_model,
-                            "truth_sizes": truth.sizes,
-                            "want_observations": want_observations,
-                            **make_cfg(shard),
-                        }
+                        cfg = dict(
+                            base_cfg,
+                            shard=[int(i) for i in shard],
+                            seeds=(
+                                None
+                                if seeds is None
+                                else [seeds[i] for i in shard]
+                            ),
+                        )
                         if recorder is not None:
                             cfg["telemetry"] = True
                             cfg["label"] = sweep_label
@@ -1164,19 +1123,18 @@ class ProcessSweepExecutor:
                     sampled = [
                         driver.collect(run, "sampled") for run in runs
                     ]
-                    if persist_samples and checkpoint is not None:
-                        nodes = np.concatenate([part[0] for part in sampled])
-                        node_weights = np.concatenate(
-                            [part[1] for part in sampled]
+                    if base_cfg["want_samples"]:
+                        checkpoint.save_samples(
+                            np.concatenate([part[0] for part in sampled]),
+                            np.concatenate([part[1] for part in sampled]),
                         )
-                        checkpoint.save_samples(nodes, node_weights)
                 with telemetry.span(
                     "phase.observe", cat="driver", task=sweep_label
                 ):
                     observed = [
                         driver.collect(run, "observed") for run in runs
                     ]
-                    if want_observations and checkpoint is not None:
+                    if base_cfg["want_observations"]:
                         checkpoint.save_observations(
                             [
                                 fields
@@ -1186,32 +1144,29 @@ class ProcessSweepExecutor:
                         )
                 for si, size in enumerate(sizes):
                     size = int(size)
-                    cached = cached_rungs.get(si)
+                    rows = cached.get(si)
                     with telemetry.span(
                         "rung", cat="driver", task=sweep_label,
-                        rung=si, size=size, cached=cached is not None,
+                        rung=si, size=size, cached=rows is not None,
                     ):
-                        if cached is not None:
+                        if rows is not None:
                             for run in runs:
                                 driver.command(run, "skip", si, size)
                             for run in runs:
                                 driver.collect(run, "skipped", si)
-                            self._fill(size_stacks, weight_stacks, si, cached)
                         else:
                             for run in runs:
                                 driver.command(run, "rung", si, size)
-                            rows = [
+                            parts = [
                                 driver.collect(run, "rows", si) for run in runs
                             ]
-                            merged = tuple(
-                                np.concatenate(
-                                    [shard_rows[f] for shard_rows in rows]
-                                )
+                            rows = tuple(
+                                np.concatenate([part[f] for part in parts])
                                 for f in range(4)
                             )
-                            self._fill(size_stacks, weight_stacks, si, merged)
                             if checkpoint is not None:
-                                checkpoint.save_rung(si, size, merged)
+                                checkpoint.save_rung(si, size, rows)
+                        stacks.fill(si, rows)
                     # Folded into every live ladder — what a replacement
                     # task must skip past to catch up.
                     for run in runs:
@@ -1237,79 +1192,3 @@ class ProcessSweepExecutor:
                 # process; drop those cached views before the pool
                 # unlinks the files (harmless when nothing attached).
                 sharedmem.release(local_pool.block_names)
-
-        return _reduce_stacks(
-            sizes, size_stacks, weight_stacks, truth, truth_mode
-        )
-
-    # ------------------------------------------------------------------
-    # Helpers
-    # ------------------------------------------------------------------
-    def _open_checkpoint(
-        self, graph, partition, sampler, sizes, replications, seeds,
-        weight_size_plugin, mean_degree_model,
-    ) -> "SweepCheckpoint | None":
-        if self.checkpoint_root is None:
-            return None
-        manifest = {
-            "mode": "fresh",
-            "design": sampler.design,
-            "replications": int(replications),
-            "sizes": [int(s) for s in sizes],
-            "seeds": seeds,
-            "weight_size_plugin": weight_size_plugin,
-            "mean_degree_model": mean_degree_model,
-            "graph": _array_digest(graph.indptr, graph.indices),
-            "partition": _array_digest(partition.labels),
-            "categories": list(partition.names),
-            "sampler": _sampler_fingerprint(sampler),
-        }
-        return SweepCheckpoint(self.checkpoint_root, manifest, self.resume)
-
-    def _load_cached_rungs(self, checkpoint, sizes) -> dict:
-        """Every completed rung's rows, loaded once up front.
-
-        The rung loop replays from this dict instead of re-reading the
-        files; callers use its coverage to decide whether the heavier
-        samples/observations state needs loading at all.
-        """
-        if not (checkpoint and self.resume):
-            return {}
-        return {
-            si: rows
-            for si, size in enumerate(sizes)
-            if (rows := checkpoint.load_rung(si, int(size))) is not None
-        }
-
-    def _open_predrawn_checkpoint(
-        self, graph, partition, samples, sizes,
-        weight_size_plugin, mean_degree_model, truth_mode,
-    ) -> "SweepCheckpoint | None":
-        if self.checkpoint_root is None:
-            return None
-        manifest = {
-            "mode": "predrawn",
-            "replications": len(samples),
-            "sizes": [int(s) for s in sizes],
-            "weight_size_plugin": weight_size_plugin,
-            "mean_degree_model": mean_degree_model,
-            "truth_mode": truth_mode,
-            "graph": _array_digest(graph.indptr, graph.indices),
-            "partition": _array_digest(partition.labels),
-            "categories": list(partition.names),
-            # Content fingerprints of every replicate crawl: a plan
-            # resumed against regenerated-but-identical walks matches,
-            # while any drift in a single draw changes the key.
-            "samples": [
-                [_array_digest(s.nodes, s.weights), s.design, bool(s.uniform)]
-                for s in samples
-            ],
-        }
-        return SweepCheckpoint(self.checkpoint_root, manifest, self.resume)
-
-    @staticmethod
-    def _fill(size_stacks, weight_stacks, si, rows) -> None:
-        size_stacks["induced"][:, si] = rows[0]
-        size_stacks["star"][:, si] = rows[1]
-        weight_stacks["induced"][:, si] = rows[2]
-        weight_stacks["star"][:, si] = rows[3]

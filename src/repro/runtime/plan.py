@@ -48,8 +48,6 @@ third holds for both schedules:
 
 from __future__ import annotations
 
-import os
-
 from repro.log import get_logger
 from repro.runtime import sharedmem, telemetry
 from repro.runtime.checkpoint import PlanCheckpoint
@@ -61,31 +59,18 @@ __all__ = ["run_cell", "run_plan"]
 _LOG = get_logger(__name__)
 
 
-def run_plan(
-    plan,
-    *,
-    executor: "str | None" = None,
-    workers: int | None = None,
-    checkpoint: "str | os.PathLike | None" = None,
-    resume: bool | None = None,
-):
+def run_plan(plan):
     """Run every cell of ``plan`` and return its finalized results.
 
     Parameters
     ----------
     plan:
-        A compiled :class:`~repro.experiments.plan.SweepPlan`.
-    executor / workers / checkpoint / resume:
-        Optional overrides for the sweep cells; each ``None`` defers to
-        the ambient runtime configuration
-        (:func:`repro.runtime.runtime_options`, then the environment),
-        exactly like the per-sweep entry points. ``executor`` must be a
-        built-in executor *name* (``"serial"``/``"process"``) — a plan
-        threads per-cell checkpoint roots through these knobs, which an
-        executor instance's fixed configuration cannot carry.
-        ``checkpoint`` names the user-facing checkpoint *root*; the
-        plan creates a plan-keyed directory under it with one
-        sweep-checkpoint subdirectory per cell.
+        A compiled :class:`~repro.experiments.plan.SweepPlan`. Its sweep
+        cells run on the executor the ambient runtime configuration
+        selects (:func:`repro.runtime.runtime_options`, then the
+        ``REPRO_*`` environment), exactly like the per-sweep entry
+        points; a configured checkpoint root gets a plan-keyed
+        directory with one sweep-checkpoint subdirectory per cell.
 
     Returns
     -------
@@ -95,22 +80,9 @@ def run_plan(
     """
     from repro.experiments.plan import PlanResources
 
-    if executor is not None and not isinstance(executor, str):
-        from repro.exceptions import ExperimentError
-
-        # An instance's fixed checkpoint/worker configuration cannot
-        # express per-cell checkpoint roots; rejecting it here (rather
-        # than letting resolve_executor trip over the ambient
-        # checkpoint being threaded through as an explicit knob) keeps
-        # the error actionable.
-        raise ExperimentError(
-            "run_plan accepts executor names ('serial'/'process'), not "
-            "executor instances; pass workers/checkpoint/resume "
-            "separately"
-        )
     ambient = active_options()
-    checkpoint_root = checkpoint if checkpoint is not None else ambient.checkpoint
-    resume_flag = resume if resume is not None else bool(ambient.resume)
+    checkpoint_root = ambient.checkpoint
+    resume_flag = bool(ambient.resume)
 
     # Executor resolution is uniform across cells (jobs carry no
     # executor knobs), so probe it once with the arguments a sweep call
@@ -123,10 +95,10 @@ def run_plan(
     # run's files while writing nothing.
     probe = (
         resolve_executor(
-            executor,
-            workers,
+            None,
+            None,
             checkpoint_root,
-            resume_flag if checkpoint_root is not None else resume,
+            resume_flag if checkpoint_root is not None else None,
         )
         if plan.sweep_cells
         else None

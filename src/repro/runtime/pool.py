@@ -35,16 +35,21 @@ them by absolute replicate index, and each sweep's reduction stays the
 serial code path. The pool only changes *when* work happens, never
 *what* is computed.
 
-Lifecycle: :func:`default_pool` hands out one process-wide pool per
-multiprocessing start method, grown on demand and shut down at
-interpreter exit (workers are daemonic besides). Tests that rely on
-``fork`` workers inheriting freshly monkeypatched parent state call
-:func:`reset_default_pools` to force the next sweep onto new workers.
+Lifecycle: :func:`default_pool` hands out one process-wide pool
+(``fork`` workers where available, else ``spawn``), grown on demand
+and shut down at interpreter exit (workers are daemonic besides).
+Tests that rely on ``fork`` workers inheriting freshly monkeypatched
+parent state call :func:`reset_default_pools` to force the next sweep
+onto new workers. When not even one worker can be spawned,
+:meth:`PersistentWorkerPool.lease_upto` raises and the executor serves
+the shards in the parent instead, synchronously on the driving thread
+(no pool, no thread, the same shard code).
 """
 
 from __future__ import annotations
 
 import atexit
+import multiprocessing
 import os
 import queue
 import tempfile
@@ -175,14 +180,6 @@ def read_spill(pid, clear: bool = True) -> "str | None":
 def default_workers() -> int:
     """The default shard count: one per available core."""
     return max(os.cpu_count() or 1, 1)
-
-
-def preferred_context():
-    """``fork`` where available (workers inherit imports), else spawn."""
-    import multiprocessing
-
-    methods = multiprocessing.get_all_start_methods()
-    return multiprocessing.get_context("fork" if "fork" in methods else "spawn")
 
 
 # ----------------------------------------------------------------------
@@ -502,8 +499,12 @@ class PersistentWorkerPool:
     exit) retires them.
     """
 
-    def __init__(self, mp_context=None):
-        self._ctx = mp_context or preferred_context()
+    def __init__(self):
+        # fork where available (workers inherit the parent's imports).
+        methods = multiprocessing.get_all_start_methods()
+        self._ctx = multiprocessing.get_context(
+            "fork" if "fork" in methods else "spawn"
+        )
         self._handles: list[_WorkerHandle] = []
         self._lock = threading.Lock()
         self._next_task_id = 0
@@ -511,12 +512,6 @@ class PersistentWorkerPool:
     @property
     def start_method(self) -> str:
         return self._ctx.get_start_method()
-
-    @property
-    def size(self) -> int:
-        """Live worker count."""
-        with self._lock:
-            return sum(1 for handle in self._handles if handle.alive)
 
     def worker_pids(self) -> tuple[int, ...]:
         """PIDs of the live workers (stable across sweeps — the point)."""
@@ -552,7 +547,10 @@ class PersistentWorkerPool:
         return _WorkerHandle(process, parent_conn)
 
     def _grow_locked(self, workers: int) -> None:
-        """Prune dead workers and spawn up to ``workers`` (lock held)."""
+        """Prune dead workers and spawn up to ``workers`` (lock held).
+
+        A spawn failure propagates; the workers spawned before it stay.
+        """
         self._handles = [h for h in self._handles if h.alive]
         if len(self._handles) < workers:
             # Start the parent's shared-memory resource tracker
@@ -580,52 +578,28 @@ class PersistentWorkerPool:
         with self._lock:
             self._grow_locked(workers)
 
-    def lease(self, workers: int) -> "list[_WorkerHandle]":
-        """``workers`` live workers (a shared prefix), spawning as needed.
+    def lease_upto(self, workers: int) -> "list[_WorkerHandle]":
+        """Up to ``workers`` live workers (a shared prefix), degrading
+        instead of raising.
 
         Concurrent sweeps lease overlapping prefixes of the same worker
         list — sharing, not partitioning, is what lets a later cell's
-        sampling fill the gaps in an earlier cell's ladder drain.
-        Growing and slicing happen under one lock acquisition, so a
-        concurrent lease pruning a just-died worker can never shrink
-        this caller's slice below ``workers`` (a shard must never be
-        silently dropped).
+        sampling fill the gaps in an earlier cell's ladder drain. Dead
+        workers are pruned, replacements are spawned best-effort, and a
+        spawn failure returns whatever live workers exist rather than
+        propagating — the executor then multiplexes its shards over the
+        shorter list (and warns once). Raises :class:`WorkerSpawnError`
+        only when *no* worker can be obtained at all; the executor's
+        answer to that is the in-process serial fallback.
         """
         with self._lock:
-            self._grow_locked(workers)
-            return list(self._handles[:workers])
-
-    def lease_upto(self, workers: int) -> "list[_WorkerHandle]":
-        """Up to ``workers`` live workers, degrading instead of raising.
-
-        The failover path's lease: dead workers are pruned, replacements
-        are spawned best-effort, and a spawn failure returns whatever
-        live workers exist rather than propagating — the executor then
-        multiplexes its shards over the shorter list (and warns once).
-        Raises :class:`WorkerSpawnError` only when *no* worker can be
-        obtained at all; the executor's answer to that is the
-        in-process serial fallback.
-        """
-        with self._lock:
-            self._handles = [h for h in self._handles if h.alive]
-            spawn_error = None
-            if len(self._handles) < workers:
-                try:
-                    from multiprocessing import resource_tracker
-
-                    resource_tracker.ensure_running()
-                except Exception:  # pragma: no cover - tracker internals
-                    pass
-            while len(self._handles) < workers:
-                try:
-                    self._handles.append(self._spawn())
-                except (WorkerSpawnError, OSError) as error:
-                    spawn_error = error
-                    break
-            if not self._handles:
-                raise WorkerSpawnError(
-                    f"could not obtain any sweep worker: {spawn_error}"
-                ) from spawn_error
+            try:
+                self._grow_locked(workers)
+            except (WorkerSpawnError, OSError) as error:
+                if not self._handles:
+                    raise WorkerSpawnError(
+                        f"could not obtain any sweep worker: {error}"
+                    ) from error
             return list(self._handles[:workers])
 
     def open_task(self, handle: _WorkerHandle, payload: bytes, cfg: dict) -> TaskChannel:
@@ -700,47 +674,39 @@ class PersistentWorkerPool:
             # spill nobody read (the sweep was already torn down).
             read_spill(handle.process.pid)
 
-    def __enter__(self) -> "PersistentWorkerPool":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.shutdown()
-
 
 # ----------------------------------------------------------------------
-# The process-wide default pools (one per start method)
+# The process-wide default pool
 # ----------------------------------------------------------------------
-_DEFAULT_POOLS: dict[str, PersistentWorkerPool] = {}
+_DEFAULT_POOL: "PersistentWorkerPool | None" = None
 _DEFAULT_LOCK = threading.Lock()
 
 
-def default_pool(mp_context=None) -> PersistentWorkerPool:
-    """The process-wide pool for ``mp_context``'s start method.
+def default_pool() -> PersistentWorkerPool:
+    """The process-wide pool every sweep runs on.
 
     This is what lets back-to-back sweeps — the cells of one plan, or
     repeated ``run_nrmse_sweep(executor="process")`` calls in one
     session — reuse live workers instead of paying spawn cost per
     sweep.
     """
-    ctx = mp_context or preferred_context()
-    key = ctx.get_start_method()
+    global _DEFAULT_POOL
     with _DEFAULT_LOCK:
-        pool = _DEFAULT_POOLS.get(key)
-        if pool is None:
-            pool = _DEFAULT_POOLS[key] = PersistentWorkerPool(ctx)
-        return pool
+        if _DEFAULT_POOL is None:
+            _DEFAULT_POOL = PersistentWorkerPool()
+        return _DEFAULT_POOL
 
 
 def reset_default_pools() -> None:
-    """Shut down every default pool (fresh workers on next use).
+    """Shut down the default pool (fresh workers on next use).
 
     Tests use this after monkeypatching modules that ``fork`` workers
     must inherit; it also runs at interpreter exit.
     """
+    global _DEFAULT_POOL
     with _DEFAULT_LOCK:
-        pools = list(_DEFAULT_POOLS.values())
-        _DEFAULT_POOLS.clear()
-    for pool in pools:
+        pool, _DEFAULT_POOL = _DEFAULT_POOL, None
+    if pool is not None:
         pool.shutdown()
 
 

@@ -195,9 +195,8 @@ def _run_plan_dag(plan, resources, *, workers, plan_checkpoint, resume):
                             waiting.remove(cell)
                             # A fresh executor instance per cell: the
                             # instance form is what carries a per-cell
-                            # checkpoint root plus the shared pool, while
-                            # the resolved worker count stays uniform
-                            # across the plan.
+                            # checkpoint root, while the resolved worker
+                            # count stays uniform across the plan.
                             executor = ProcessSweepExecutor(
                                 workers=workers,
                                 checkpoint=(
@@ -206,7 +205,6 @@ def _run_plan_dag(plan, resources, *, workers, plan_checkpoint, resume):
                                     else None
                                 ),
                                 resume=bool(resume),
-                                pool=pool,
                                 label=cell.label,
                             )
                             running[

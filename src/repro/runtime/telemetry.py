@@ -229,10 +229,6 @@ class TelemetryRecorder:
             if current is None or value > current:
                 self._gauges[name] = value
 
-    def name_process(self, pid: int, name: str) -> None:
-        with self._lock:
-            self._process_names[pid] = name
-
     def name_thread(self, name: str) -> None:
         """Label the calling thread's timeline row."""
         key = (os.getpid(), threading.get_native_id())

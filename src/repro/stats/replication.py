@@ -54,7 +54,7 @@ from repro.graph.partition import CategoryPartition
 from repro.rng import ensure_rng
 from repro.sampling.base import NodeSample, Sampler
 from repro.stats.errors import nanmean_rows, nrmse_stack
-from repro.stats.prefix import IncrementalPrefixLadder, RungEstimates
+from repro.stats.prefix import RungEstimates
 
 __all__ = ["SweepResult", "run_nrmse_sweep", "run_nrmse_sweep_from_samples"]
 
@@ -242,41 +242,31 @@ def run_nrmse_sweep_from_samples(
             mean_degree_model=mean_degree_model,
             truth_mode=truth_mode,
         )
-    truth = true_category_graph(graph, partition)
-    n_pop = graph.num_nodes
-    c = partition.num_categories
-    r = len(samples)
-    k = len(sizes)
-    size_stacks = {kind: np.full((r, k, c), np.nan) for kind in KINDS}
-    weight_stacks = {kind: np.full((r, k, c, c), np.nan) for kind in KINDS}
-
     from repro.runtime import telemetry  # deferred: cycle
+    from repro.runtime.executor import _ShardBlock
 
+    truth = true_category_graph(graph, partition)
+    stacks = _Stacks(len(samples), len(sizes), partition.num_categories)
     with telemetry.span(
-        "sweep.serial", cat="driver", replicates=r, rungs=k
+        "sweep.serial", cat="driver", replicates=len(samples), rungs=len(sizes)
     ):
         for rep, sample in enumerate(samples):
-            ladder = IncrementalPrefixLadder(graph, partition, sample)
+            block = _ShardBlock(
+                graph,
+                partition,
+                [sample],
+                weight_size_plugin=weight_size_plugin,
+                mean_degree_model=mean_degree_model,
+                truth_sizes=truth.sizes,
+            )
             for si, size in enumerate(sizes):
-                rows = _rung_rows(
-                    ladder.estimates(
-                        int(size), n_pop, mean_degree_model=mean_degree_model
-                    ),
-                    weight_size_plugin,
-                    truth.sizes,
-                )
-                size_stacks["induced"][rep, si] = rows[0]
-                size_stacks["star"][rep, si] = rows[1]
-                weight_stacks["induced"][rep, si] = rows[2]
-                weight_stacks["star"][rep, si] = rows[3]
-            # Free this replicate's ladder before the next one is built,
+                (rows,) = block.rows(int(size))
+                stacks.fill(si, rows, rep)
+            # One replicate per block, freed before the next is built,
             # so the allocator reuses its memory instead of faulting in
             # fresh pages for every replicate.
-            del ladder
-
-    return _reduce_stacks(
-        sizes, size_stacks, weight_stacks, truth, truth_mode
-    )
+            del block
+    return stacks.reduce(sizes, truth, truth_mode)
 
 
 def _check_sweep_arguments(
@@ -308,6 +298,35 @@ def _check_sweep_arguments(
         raise EstimationError(f"unknown truth_mode {truth_mode!r}")
 
 
+class _Stacks:
+    """One sweep's per-replicate estimate rows, ``(R, K, C[, C])``.
+
+    Every sweep path assembles its rows here — the serial loop one
+    replicate at a time, the process executor one gathered rung at a
+    time, checkpoint replays from rung files — and reduces them with
+    :func:`_reduce_stacks`.
+    """
+
+    def __init__(self, replications: int, rungs: int, categories: int):
+        r, k, c = replications, rungs, categories
+        self.replications = r
+        self.sizes = {kind: np.full((r, k, c), np.nan) for kind in KINDS}
+        self.weights = {kind: np.full((r, k, c, c), np.nan) for kind in KINDS}
+
+    def fill(self, si: int, rows, replicates=slice(None)) -> None:
+        """Place rung ``si``'s four rows (see :func:`_rung_rows`) at
+        ``replicates`` — every replicate by default, or one index."""
+        self.sizes["induced"][replicates, si] = rows[0]
+        self.sizes["star"][replicates, si] = rows[1]
+        self.weights["induced"][replicates, si] = rows[2]
+        self.weights["star"][replicates, si] = rows[3]
+
+    def reduce(
+        self, sizes: np.ndarray, truth: CategoryGraph, truth_mode: str
+    ) -> SweepResult:
+        return _reduce_stacks(sizes, self.sizes, self.weights, truth, truth_mode)
+
+
 def _reduce_stacks(
     sizes: np.ndarray,
     size_stacks: dict[str, np.ndarray],
@@ -317,8 +336,8 @@ def _reduce_stacks(
 ) -> SweepResult:
     """Reduce per-replicate estimate stacks to the NRMSE surfaces.
 
-    Shared by the serial path above and the parallel executor
-    (:mod:`repro.runtime`): the stacks are indexed by *absolute*
+    Reached through :meth:`_Stacks.reduce` by the serial path above and
+    the parallel executor (:mod:`repro.runtime`): the stacks are indexed by *absolute*
     replicate, so however the rows were computed — in-process or
     sharded across workers — the reduction here is the same
     floating-point program and the result is bit-identical.
@@ -371,9 +390,10 @@ def _rung_rows(
     """One replicate's estimate rows at one rung, plug-in resolved.
 
     The single code path that turns a :class:`RungEstimates` into the
-    four stack rows — serial sweeps and executor workers both call it,
-    which is what makes the parallel stacks bit-identical to the serial
-    ones.
+    four stack rows, called by the replicate-block runner
+    (``repro.runtime.executor._ShardBlock``) that serial sweeps and
+    executor shards both run — which is what makes the parallel stacks
+    bit-identical to the serial ones.
     """
     plugin = _plugin_sizes(
         weight_size_plugin, rung.sizes_star, rung.sizes_induced, truth_sizes

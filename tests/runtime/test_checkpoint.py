@@ -164,7 +164,6 @@ def test_checkpoint_rejects_size_mismatched_rungs(tmp_path):
     assert checkpoint.load_rung(0, size=40) is not None
     assert checkpoint.load_rung(0, size=99) is None
     assert checkpoint.load_rung(1, size=40) is None
-    assert checkpoint.completed_rungs([40, 120]) == [0]
 
 
 def test_fresh_checkpoint_clears_stale_files(tmp_path):
@@ -209,9 +208,9 @@ def test_resume_skips_the_observation_rebuild(world, serial, tmp_path, monkeypat
 
 
 def test_observation_round_trip_is_exact(world, tmp_path):
-    from repro.runtime.executor import (
-        _observation_fields,
-        _observations_restore,
+    from repro.runtime.checkpoint import (
+        observation_fields,
+        restore_observations,
     )
     from repro.sampling.observation import observe_both
 
@@ -219,10 +218,10 @@ def test_observation_round_trip_is_exact(world, tmp_path):
     sample = StratifiedWeightedWalkSampler(graph, partition).sample(300, rng=1)
     induced, star = observe_both(graph, partition, sample)
     checkpoint = SweepCheckpoint(tmp_path, {"probe": 3}, resume=False)
-    checkpoint.save_observations([_observation_fields(induced, star)])
+    checkpoint.save_observations([observation_fields(induced, star)])
     assert checkpoint.load_observations(expected=2) is None  # count guard
     restored = checkpoint.load_observations(expected=1)
-    induced2, star2 = _observations_restore(
+    induced2, star2 = restore_observations(
         tuple(partition.names), restored[0]
     )
     assert star2.design == star.design and star2.uniform == star.uniform
@@ -265,3 +264,49 @@ def test_fully_checkpointed_sweep_replays_without_resampling(
     assert not (sweep_dir / "samples.npz").exists(), (
         "a fully-checkpointed resume should not resample"
     )
+
+
+def test_manifest_keys_are_stable_across_versions(world, tmp_path):
+    """Checkpoints written by earlier versions must still be found.
+
+    The keys (and manifest bytes) below were computed before the fresh
+    and pre-drawn manifest builders were merged; a drift here would
+    silently orphan every existing checkpoint directory.
+    """
+    import hashlib
+
+    from repro.runtime.checkpoint import PlanCheckpoint
+    from repro.runtime.executor import ProcessSweepExecutor
+    from repro.sampling import RandomWalkSampler
+
+    graph, partition = world
+    ladder = np.asarray(LADDER)
+    fresh = ProcessSweepExecutor(workers=1, checkpoint=tmp_path)
+    fresh.run(
+        graph,
+        partition,
+        StratifiedWeightedWalkSampler(graph, partition),
+        ladder,
+        REPLICATIONS,
+        SEED,
+    )
+    samples = list(RandomWalkSampler(graph).sample_many(360, 3, rng=SEED))
+    predrawn = ProcessSweepExecutor(workers=1, checkpoint=tmp_path)
+    predrawn.run_from_samples(
+        graph, partition, samples, ladder, truth_mode="cross-sample"
+    )
+    plan = PlanCheckpoint(
+        tmp_path, {"plan": "probe", "cells": ["a"]}, resume=False
+    )
+
+    def manifest_digest(path):
+        return hashlib.sha256(path.read_bytes()).hexdigest()[:16]
+
+    assert fresh.last_checkpoint.key == "3f5ded1d551cda2f"
+    assert predrawn.last_checkpoint.key == "e8190d6286d7d63d"
+    assert plan.key == "1d050b9bfd900016"
+    directory = fresh.last_checkpoint.directory
+    assert manifest_digest(directory / "manifest.json") == "04ea3260033721ea"
+    directory = predrawn.last_checkpoint.directory
+    assert manifest_digest(directory / "manifest.json") == "e47c7cd61438e3fd"
+    assert manifest_digest(plan.directory / "plan.json") == "ba3e8877361fb808"

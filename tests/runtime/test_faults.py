@@ -213,6 +213,31 @@ def test_spawn_failure_degrades_to_in_process_serial(world, serial):
     assert_sweeps_equal(serial, result, "in-process serial degradation")
 
 
+def test_in_process_degradation_starts_no_thread(world, serial, monkeypatch):
+    """With no worker to be had, shards run on the driving thread."""
+    import threading
+
+    started = []
+    original = threading.Thread.start
+
+    def counting_start(self):
+        started.append(self.name)
+        original(self)
+
+    reset_default_pools()
+    executor = ProcessSweepExecutor(workers=2)
+    monkeypatch.setattr(threading.Thread, "start", counting_start)
+    try:
+        with faults.inject("fail-respawn:times=100000"):
+            with pytest.warns(RuntimeWarning, match="in-process serial"):
+                result = _sweep(world, executor)
+    finally:
+        monkeypatch.undo()
+        reset_default_pools()
+    assert started == []
+    assert_sweeps_equal(serial, result, "thread-free in-process degradation")
+
+
 def test_spawn_failure_with_a_survivor_multiplexes_shards(world, serial):
     reset_default_pools()
     pool = default_pool()

@@ -290,17 +290,6 @@ def test_unknown_plan_resource_is_a_clear_error():
         resources["missing"]
 
 
-def test_run_plan_rejects_executor_instances():
-    from repro.runtime import ProcessSweepExecutor
-
-    plan = SweepPlan(
-        name="probe",
-        cells=(ComputeCell(key="only", compute=lambda resources: 1),),
-    )
-    with pytest.raises(ExperimentError, match="executor names"):
-        run_plan(plan, executor=ProcessSweepExecutor(workers=1))
-
-
 def test_plan_runner_runs_compute_cells_in_process():
     seen = []
 

@@ -157,9 +157,8 @@ def _probe_plan(calls: dict):
 
 def test_fully_cached_cell_resumes_without_rebuilding_its_substrate(tmp_path):
     calls = {"resource": 0, "build": 0}
-    first = run_plan(
-        _probe_plan(calls), executor="process", workers=2, checkpoint=tmp_path
-    )
+    with runtime_options(executor="process", workers=2, checkpoint=tmp_path):
+        first = run_plan(_probe_plan(calls))
     assert calls == {"resource": 1, "build": 1}
 
     plan_dir = next(tmp_path.glob("plan-*"))
@@ -167,13 +166,10 @@ def test_fully_cached_cell_resumes_without_rebuilding_its_substrate(tmp_path):
     assert set(recorded) == {"only"}
 
     replay_calls = {"resource": 0, "build": 0}
-    replayed = run_plan(
-        _probe_plan(replay_calls),
-        executor="process",
-        workers=2,
-        checkpoint=tmp_path,
-        resume=True,
-    )
+    with runtime_options(
+        executor="process", workers=2, checkpoint=tmp_path, resume=True
+    ):
+        replayed = run_plan(_probe_plan(replay_calls))
     # The whole point: neither the resource nor the cell substrate was
     # ever constructed — the result came from cells.json + truth.npz +
     # the rung files alone.
@@ -186,13 +182,10 @@ def test_fully_cached_cell_resumes_without_rebuilding_its_substrate(tmp_path):
     sweep_dir = next((plan_dir / "only").glob("sweep-*"))
     sorted(sweep_dir.glob("rung_*.npz"))[-1].unlink()
     fallback_calls = {"resource": 0, "build": 0}
-    fallback = run_plan(
-        _probe_plan(fallback_calls),
-        executor="process",
-        workers=2,
-        checkpoint=tmp_path,
-        resume=True,
-    )
+    with runtime_options(
+        executor="process", workers=2, checkpoint=tmp_path, resume=True
+    ):
+        fallback = run_plan(_probe_plan(fallback_calls))
     assert fallback_calls == {"resource": 1, "build": 1}
     assert_sweeps_equal(first["only"], fallback["only"], "post-tamper resume")
 

@@ -218,3 +218,36 @@ def test_bad_predrawn_sweep_arguments_raise_on_both_executors(model, bad):
         ProcessSweepExecutor(workers=1).run_from_samples(
             graph, partition, sizes=np.array([100]), **arguments
         )
+
+
+def test_serial_sweep_holds_at_most_one_ladder(model, monkeypatch):
+    """The serial loop frees each replicate's ladder before the next.
+
+    Holding every replicate's ladder at once multiplies the sweep's
+    peak memory by R; the serial path must keep one alive at a time.
+    """
+    import weakref
+
+    from repro.stats.prefix import IncrementalPrefixLadder
+
+    live = weakref.WeakSet()
+    peaks = []
+    original = IncrementalPrefixLadder.__init__
+
+    def tracking_init(self, *args, **kwargs):
+        original(self, *args, **kwargs)
+        live.add(self)
+        peaks.append(len(live))
+
+    monkeypatch.setattr(IncrementalPrefixLadder, "__init__", tracking_init)
+    graph, partition = model
+    run_nrmse_sweep(
+        graph,
+        partition,
+        RandomWalkSampler(graph),
+        [50, 100],
+        replications=5,
+        rng=1,
+        executor="serial",
+    )
+    assert peaks == [1] * 5
